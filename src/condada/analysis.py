@@ -109,14 +109,14 @@ def proxy_a_distance(f_src: np.ndarray, f_tgt: np.ndarray, seed: int) -> float:
         p = _domain_prob(Tensor(rows), w1, b1, w2, b2).data
         return (p > 0.5).astype(np.float64) != label
 
-    errors = np.concatenate([test_error(src_test, 1.0), test_error(tgt_test, 0.0)])
+    with T.no_tape():
+        errors = np.concatenate([test_error(src_test, 1.0), test_error(tgt_test, 0.0)])
     return a_distance_from_error(errors.mean())
 
 
 def _domain_prob(x: Tensor, w1, b1, w2, b2) -> Tensor:
-    h = T.relu(T.add(T.matmul(x, w1), b1))
-    z = T.add(T.matmul(h, w2), b2)
-    return T.reshape(T.sigmoid(z), (x.shape[0],))
+    h = T.affine(x, w1, b1, relu=True)
+    return T.sigmoid(T.affine(h, w2, b2), (x.shape[0],))
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,7 @@ def export_features(bundle: N.ModelBundle, sets, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(f"f{i}" for i in range(d_f)) + ",label,domain\n")
         for labeled in sets:
-            feats = N.forward_F(bundle, Tensor(labeled.x)).data
+            with T.no_tape():
+                feats = N.forward_F(bundle, Tensor(labeled.x)).data
             for row, label in zip(feats, labeled.y):
                 fh.write(",".join(repr(v) for v in row.tolist()) + f",{label},{labeled.domain}\n")

@@ -113,9 +113,7 @@ def _forward_mlp(layers: list[tuple[Tensor, Tensor]], spec: MlpSpec, x: Tensor) 
     h = x
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        h = T.add(T.matmul(h, w), b)
-        if i < last:
-            h = T.relu(h)
+        h = T.affine(h, w, b, relu=i < last)
     return h
 
 
@@ -133,7 +131,7 @@ def forward_G(bundle: ModelBundle, f: Tensor) -> tuple[Tensor, Tensor]:
 def forward_D(bundle: ModelBundle, conditioned: Tensor) -> Tensor:
     """Conditioned rows -> per-row source probability in (0, 1), shape (n,)."""
     out = _forward_mlp(bundle.layers_d, bundle.spec_d, conditioned)
-    return T.reshape(T.sigmoid(out), (conditioned.shape[0],))
+    return T.sigmoid(out, (conditioned.shape[0],))
 
 
 def save_model(bundle: ModelBundle, path, extra_arrays: dict[str, np.ndarray] | None = None,

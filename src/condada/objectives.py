@@ -48,50 +48,81 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def cross_entropy(g_probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean over the batch of -log p[true label], with the clamped log."""
-    hot = Tensor(one_hot(labels, g_probs.shape[1]))
-    picked = T.tsum(T.mul(T.log(g_probs), hot), axis=1)
-    return T.scale(T.tsum(picked), -1.0 / g_probs.shape[0])
+    """Mean over the batch of -log p[true label], with the clamped log.
+
+    One node; forward and backward are the arithmetic of
+    ``scale(tsum(tsum(mul(log(p), hot), axis=1)), -1/n)``.
+    """
+    hot = one_hot(labels, g_probs.shape[1])
+    p = g_probs.data
+    clamped = np.maximum(p, T.LOG_CLAMP)
+    mask = p > T.LOG_CLAMP
+    c = float(-1.0 / p.shape[0])
+    value = (np.log(clamped) * hot).sum(axis=1).sum() * c
+
+    def _bw(out):
+        if g_probs.requires_grad:
+            T._accumulate(g_probs, np.broadcast_to(out.grad * c, hot.shape) * hot * mask / clamped)
+
+    return T.node(value, (g_probs,), _bw)
 
 
 def entropy(g_probs: Tensor) -> Tensor:
-    """Per-row prediction entropy H = -sum_c g_c log g_c, shape (n,).
+    """Per-row prediction entropy H = -sum_c g_c log g_c, shape (n,), as a
+    constant: no tape op records it.
 
     Zero probabilities contribute zero: the clamped log is finite there and
     the multiplication by g_c = 0 kills the term.
     """
-    return T.scale(T.tsum(T.mul(g_probs, T.log(g_probs)), axis=1), -1.0)
+    g = g_probs.data
+    return Tensor(-(g * np.log(np.maximum(g, T.LOG_CLAMP))).sum(axis=1))
 
 
 def entropy_weight(h: Tensor) -> Tensor:
-    """w = 1 + e^{-H}: strictly decreasing, range (1, 2] for H >= 0."""
-    return T.add(T.exp(T.scale(h, -1.0)), Tensor(np.ones(h.shape)))
+    """w = 1 + e^{-H}: strictly decreasing, range (1, 2] for H >= 0; a constant."""
+    return Tensor(np.exp(-h.data) + 1.0)
 
 
-def _weighted_mean(values: Tensor, weights: Tensor | None) -> Tensor:
+def _neg_log_mean(probs: np.ndarray, weights: Tensor | None):
+    """(-mean_w log probs, backward) with the clamped log; weighted means are
+    normalized by the weight sum. The backward maps the upstream scalar
+    gradient to the gradient with respect to ``probs``."""
+    clamped = np.maximum(probs, T.LOG_CLAMP)
+    mask = probs > T.LOG_CLAMP
+    neg = -np.log(clamped)
     if weights is None:
-        return T.tmean(values)
-    if weights.shape != values.shape:
-        raise ValueError(f"weight shape {weights.shape} does not match value shape {values.shape}")
-    return T.div(T.tsum(T.mul(values, weights)), T.tsum(weights))
+        c = float(1.0 / neg.size)
+        value = neg.sum() * c
+        return value, lambda g: -np.broadcast_to(g * c, neg.shape) * mask / clamped
+    if weights.shape != neg.shape:
+        raise ValueError(f"weight shape {weights.shape} does not match value shape {neg.shape}")
+    w = weights.data
+    w_sum = w.sum()
+    value = (neg * w).sum() / w_sum
+    return value, lambda g: -(np.broadcast_to(g / w_sum, neg.shape) * w) * mask / clamped
 
 
 def adversarial_losses(d_src: Tensor, d_tgt: Tensor,
                        weights_src: Tensor | None = None,
-                       weights_tgt: Tensor | None = None) -> tuple[Tensor, Tensor]:
+                       weights_tgt: Tensor | None = None) -> Tensor:
     """Weighted discriminator loss -mean_w log d_src - mean_w log(1 - d_tgt).
 
     Weighted means are normalized by the batch weight sum, so rescaling all
-    weights leaves the loss unchanged. Returns (loss_D, loss_adv): the same
-    scalar in two roles. loss_D is what D descends; when the discriminator
-    inputs were routed through gradient reversal, the identical node also
-    serves as the adversarial quantity that F and G ascend.
+    weights leaves the loss unchanged. The weights are constants. The one
+    node is what D descends; when the discriminator inputs were routed
+    through gradient reversal, it is also the adversarial quantity that F and
+    G ascend.
     """
-    loss_src = _weighted_mean(T.scale(T.log(d_src), -1.0), weights_src)
-    one_minus = T.add(T.scale(d_tgt, -1.0), Tensor(np.ones(d_tgt.shape)))
-    loss_tgt = _weighted_mean(T.scale(T.log(one_minus), -1.0), weights_tgt)
-    loss = T.add(loss_src, loss_tgt)
-    return loss, loss
+    src_value, src_bw = _neg_log_mean(d_src.data, weights_src)
+    tgt_value, tgt_bw = _neg_log_mean(1.0 - d_tgt.data, weights_tgt)
+
+    def _bw(out):
+        if d_src.requires_grad:
+            T._accumulate(d_src, src_bw(out.grad))
+        if d_tgt.requires_grad:
+            T._accumulate(d_tgt, -tgt_bw(out.grad))
+
+    return T.node(src_value + tgt_value, (d_src, d_tgt), _bw)
 
 
 def cdan_step_losses(x_src: np.ndarray, y_src: np.ndarray, x_tgt: np.ndarray,
@@ -111,17 +142,17 @@ def cdan_step_losses(x_src: np.ndarray, y_src: np.ndarray, x_tgt: np.ndarray,
 
     w_src = w_tgt = None
     if entropy_weighting:
-        # Constant leaves: weights prioritize, they do not backpropagate.
-        w_src = entropy_weight(entropy(Tensor(g_src.data)))
-        w_tgt = entropy_weight(entropy(Tensor(g_tgt.data)))
+        # Constants: weights prioritize, they do not backpropagate.
+        w_src = entropy_weight(entropy(g_src))
+        w_tgt = entropy_weight(entropy(g_tgt))
 
     h_src = C.condition(f_src, g_src, strategy, proj)
     h_tgt = C.condition(f_tgt, g_tgt, strategy, proj)
     d_src = N.forward_D(bundle, T.gradient_reversal(h_src, lambda_eff))
     d_tgt = N.forward_D(bundle, T.gradient_reversal(h_tgt, lambda_eff))
 
-    loss_d, loss_adv = adversarial_losses(d_src, d_tgt, w_src, w_tgt)
-    objective = T.add(cls, loss_adv)
+    loss_d = adversarial_losses(d_src, d_tgt, w_src, w_tgt)
+    objective = T.add(cls, loss_d)
 
     weights = None
     if entropy_weighting:

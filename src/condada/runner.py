@@ -89,8 +89,9 @@ class _BatchCycler:
 
 
 def _evaluate(bundle: N.ModelBundle, labeled: LabeledSet) -> tuple[float, np.ndarray]:
-    f = N.forward_F(bundle, Tensor(labeled.x))
-    _, g = N.forward_G(bundle, f)
+    with T.no_tape():
+        f = N.forward_F(bundle, Tensor(labeled.x))
+        _, g = N.forward_G(bundle, f)
     return A.accuracy(g.data, labeled.y), g.data
 
 
@@ -147,8 +148,9 @@ def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
                 mean_w_correct=mean_correct, mean_w_incorrect=mean_incorrect,
             ))
 
-    f_src = N.forward_F(bundle, Tensor(src.x)).data
-    f_tgt = N.forward_F(bundle, Tensor(tgt.x)).data
+    with T.no_tape():
+        f_src = N.forward_F(bundle, Tensor(src.x)).data
+        f_tgt = N.forward_F(bundle, Tensor(tgt.x)).data
     record.a_distance = A.proxy_a_distance(f_src, f_tgt, cfg.derived_seed(seed, _STREAM_ADIST))
     return bundle, record, proj
 

@@ -6,12 +6,21 @@ output node; calling :func:`backward` on a scalar loss walks the recorded
 tape once in reverse topological order and accumulates gradients into every
 reachable node with ``requires_grad``.
 
+A closure receives its node as an argument instead of capturing it, so a
+graph holds no reference cycles: reference counting frees it as soon as the
+last reference to its loss goes. Fused ops (:func:`affine`, :func:`sigmoid`
+with an output shape) record one node for what would otherwise be a chain,
+computing the same numpy expressions in the same order, bit for bit. Inside
+``with no_tape():`` ops compute values only and record nothing; evaluation
+forwards run that way.
+
 No higher-order gradients, no in-place graph mutation: build a fresh graph
 per training step.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,9 +29,13 @@ import numpy as np
 # discriminator probabilities keep the adversarial losses finite.
 LOG_CLAMP = 1e-12
 
+# Cleared by no_tape(); while clear, node() records no backward.
+_recording = True
+
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_backward_done",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -32,7 +45,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple = ()
-        self._backward: Optional[Callable[[], None]] = None
+        self._backward: Optional[Callable[[Tensor], None]] = None
         self._backward_done = False
 
     @property
@@ -102,13 +115,29 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _node(data: np.ndarray, parents: tuple, backward_fn: Callable[[], None]) -> Tensor:
+def node(data: np.ndarray, parents: tuple, backward_fn: Callable[[Tensor], None]) -> Tensor:
+    """Wrap ``data`` as the output of an op over ``parents``.
+
+    ``backward_fn(out)`` reads ``out.grad`` and accumulates into the parents;
+    it is recorded only when taping and some parent requires a gradient.
+    """
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
     return out
+
+
+@contextmanager
+def no_tape():
+    """Compute values only: ops inside the block record no backward."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
 
 
 def backward(loss: Tensor) -> None:
@@ -126,22 +155,22 @@ def backward(loss: Tensor) -> None:
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
-        node, expanded = stack.pop()
+        t, expanded = stack.pop()
         if expanded:
-            topo.append(node)
+            topo.append(t)
             continue
-        if id(node) in visited:
+        if id(t) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
+        visited.add(id(t))
+        stack.append((t, True))
+        for parent in t._parents:
             if id(parent) not in visited and parent.requires_grad:
                 stack.append((parent, False))
 
     _accumulate(loss, np.ones_like(loss.data))
-    for node in reversed(topo):
-        if node._backward is not None:
-            node._backward()
+    for t in reversed(topo):
+        if t._backward is not None:
+            t._backward(t)
 
 
 # ---------------------------------------------------------------------------
@@ -154,60 +183,79 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
 
-    def _bw():
+    def _bw(out):
         g = out.grad
         if a.requires_grad:
             _accumulate(a, g @ b.data.T)
         if b.requires_grad:
             _accumulate(b, a.data.T @ g)
 
-    out = _node(out_data, (a, b), _bw)
-    return out
+    return node(out_data, (a, b), _bw)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x @ w + b, then ReLU when ``relu``: one node with the same arithmetic
+    as ``relu(add(matmul(x, w), b))``."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"affine shape mismatch: {x.shape} @ {w.shape}")
+    out_data = x.data @ w.data + b.data
+    if relu:
+        mask = out_data > 0.0
+        out_data = np.where(mask, out_data, 0.0)
+
+    def _bw(out):
+        g = out.grad * mask if relu else out.grad
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g)
+
+    return node(out_data, (x, w, b), _bw)
 
 
 def add(a: Tensor, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data + b.data
 
-    def _bw():
+    def _bw(out):
         g = out.grad
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.shape))
 
-    out = _node(out_data, (a, b), _bw)
-    return out
+    return node(out_data, (a, b), _bw)
 
 
 def mul(a: Tensor, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data * b.data
 
-    def _bw():
+    def _bw(out):
         g = out.grad
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-    out = _node(out_data, (a, b), _bw)
-    return out
+    return node(out_data, (a, b), _bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data / b.data
 
-    def _bw():
+    def _bw(out):
         g = out.grad
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g / b.data, a.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    out = _node(out_data, (a, b), _bw)
-    return out
+    return node(out_data, (a, b), _bw)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -215,12 +263,11 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out_data = a.data * c
 
-    def _bw():
+    def _bw(out):
         if a.requires_grad:
             _accumulate(a, out.grad * c)
 
-    out = _node(out_data, (a,), _bw)
-    return out
+    return node(out_data, (a,), _bw)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -228,12 +275,11 @@ def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     out_data = np.where(mask, a.data, 0.0)
 
-    def _bw():
+    def _bw(out):
         if a.requires_grad:
             _accumulate(a, out.grad * mask)
 
-    out = _node(out_data, (a,), _bw)
-    return out
+    return node(out_data, (a,), _bw)
 
 
 def log(a: Tensor) -> Tensor:
@@ -246,55 +292,53 @@ def log(a: Tensor) -> Tensor:
     out_data = np.log(clamped)
     mask = a.data > LOG_CLAMP
 
-    def _bw():
+    def _bw(out):
         if a.requires_grad:
             _accumulate(a, out.grad * mask / clamped)
 
-    out = _node(out_data, (a,), _bw)
-    return out
+    return node(out_data, (a,), _bw)
 
 
 def exp(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out_data = np.exp(a.data)
 
-    def _bw():
+    def _bw(out):
         if a.requires_grad:
             _accumulate(a, out.grad * out_data)
 
-    out = _node(out_data, (a,), _bw)
-    return out
+    return node(out_data, (a,), _bw)
 
 
 def sqrt(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out_data = np.sqrt(a.data)
 
-    def _bw():
+    def _bw(out):
         if a.requires_grad:
             _accumulate(a, out.grad * 0.5 / np.maximum(out_data, LOG_CLAMP))
 
-    out = _node(out_data, (a,), _bw)
-    return out
+    return node(out_data, (a,), _bw)
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def sigmoid(a: Tensor, shape: Optional[tuple] = None) -> Tensor:
     """Numerically stable sigmoid, output clamped into (0, 1).
 
     The clamp mirrors the log clamp: a saturated discriminator emits
     probabilities at distance LOG_CLAMP from {0, 1} rather than exactly on them.
+    With ``shape``, the output is also reshaped, in the same node: the sigmoid
+    head of a one-unit network maps (n, 1) logits to (n,) probabilities.
     """
     a = _as_tensor(a)
     x = a.data
     out_data = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     out_data = np.clip(out_data, LOG_CLAMP, 1.0 - LOG_CLAMP)
 
-    def _bw():
+    def _bw(out):
         if a.requires_grad:
-            _accumulate(a, out.grad * out_data * (1.0 - out_data))
+            _accumulate(a, out.grad.reshape(a.shape) * out_data * (1.0 - out_data))
 
-    out = _node(out_data, (a,), _bw)
-    return out
+    return node(out_data if shape is None else out_data.reshape(shape), (a,), _bw)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -304,14 +348,13 @@ def softmax_rows(a: Tensor) -> Tensor:
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
 
-    def _bw():
+    def _bw(out):
         if a.requires_grad:
             g = out.grad
             inner = (g * out_data).sum(axis=-1, keepdims=True)
             _accumulate(a, out_data * (g - inner))
 
-    out = _node(out_data, (a,), _bw)
-    return out
+    return node(out_data, (a,), _bw)
 
 
 def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
@@ -321,7 +364,7 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     out_data = np.concatenate([a.data, b.data], axis=axis)
     split = a.shape[axis]
 
-    def _bw():
+    def _bw(out):
         g = out.grad
         ga, gb = np.split(g, [split], axis=axis)
         if a.requires_grad:
@@ -329,35 +372,32 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
         if b.requires_grad:
             _accumulate(b, gb)
 
-    out = _node(out_data, (a, b), _bw)
-    return out
+    return node(out_data, (a, b), _bw)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data.reshape(shape)
 
-    def _bw():
+    def _bw(out):
         if a.requires_grad:
             _accumulate(a, out.grad.reshape(a.shape))
 
-    out = _node(out_data, (a,), _bw)
-    return out
+    return node(out_data, (a,), _bw)
 
 
 def tsum(a: Tensor, axis: Optional[int] = None) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data.sum(axis=axis)
 
-    def _bw():
+    def _bw(out):
         if a.requires_grad:
             g = out.grad
             if axis is not None:
                 g = np.expand_dims(g, axis=axis)
             _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
-    out = _node(np.asarray(out_data), (a,), _bw)
-    return out
+    return node(np.asarray(out_data), (a,), _bw)
 
 
 def tmean(a: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -372,12 +412,11 @@ def gradient_reversal(a: Tensor, coeff: float) -> Tensor:
     if coeff < 0.0:
         raise ValueError(f"gradient reversal coefficient must be nonnegative, got {coeff}")
 
-    def _bw():
+    def _bw(out):
         if a.requires_grad:
             _accumulate(a, out.grad * -coeff)
 
-    out = _node(a.data, (a,), _bw)
-    return out
+    return node(a.data, (a,), _bw)
 
 
 def rowwise_outer(a: Tensor, b: Tensor) -> Tensor:
@@ -389,15 +428,14 @@ def rowwise_outer(a: Tensor, b: Tensor) -> Tensor:
     db = b.shape[1]
     out_data = np.einsum("ni,nj->nij", a.data, b.data).reshape(n, da * db)
 
-    def _bw():
+    def _bw(out):
         g = out.grad.reshape(n, da, db)
         if a.requires_grad:
             _accumulate(a, np.einsum("nij,nj->ni", g, b.data))
         if b.requires_grad:
             _accumulate(b, np.einsum("nij,ni->nj", g, a.data))
 
-    out = _node(out_data, (a, b), _bw)
-    return out
+    return node(out_data, (a, b), _bw)
 
 
 def l2_normalize_rows(a: Tensor, eps: float = 1e-24) -> Tensor:

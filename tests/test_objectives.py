@@ -100,12 +100,12 @@ def test_entropy_weight_range_on_simplex_rows(raw):
 
 def test_adversarial_loss_at_half_is_2_log_2():
     d = Tensor(np.full(6, 0.5))
-    loss, _ = O.adversarial_losses(d, d)
+    loss = O.adversarial_losses(d, d)
     assert loss.item() == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
 def test_adversarial_loss_vanishes_for_perfect_discriminator():
-    loss, _ = O.adversarial_losses(Tensor(np.full(6, 1.0 - 1e-12)), Tensor(np.full(6, 1e-12)))
+    loss = O.adversarial_losses(Tensor(np.full(6, 1.0 - 1e-12)), Tensor(np.full(6, 1e-12)))
     assert 0.0 <= loss.item() < 1e-9
 
 
@@ -116,12 +116,12 @@ def test_weighted_mean_matches_brute_force_and_ignores_weight_scale():
     w_src = rng.uniform(1.0, 2.0, 10)
     w_tgt = rng.uniform(1.0, 2.0, 10)
 
-    loss, _ = O.adversarial_losses(Tensor(d_src), Tensor(d_tgt), Tensor(w_src), Tensor(w_tgt))
+    loss = O.adversarial_losses(Tensor(d_src), Tensor(d_tgt), Tensor(w_src), Tensor(w_tgt))
     brute = (-(w_src * np.log(d_src)).sum() / w_src.sum()
              - (w_tgt * np.log(1.0 - d_tgt)).sum() / w_tgt.sum())
     assert loss.item() == pytest.approx(brute, abs=1e-12)
 
-    doubled, _ = O.adversarial_losses(Tensor(d_src), Tensor(d_tgt), Tensor(2 * w_src), Tensor(2 * w_tgt))
+    doubled = O.adversarial_losses(Tensor(d_src), Tensor(d_tgt), Tensor(2 * w_src), Tensor(2 * w_tgt))
     assert doubled.item() == loss.item()
 
 

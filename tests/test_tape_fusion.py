@@ -1,0 +1,280 @@
+"""Fused tape ops against the op chains they replace, bit for bit, and the
+tape's memory behaviour: no reference cycles, no tape in evaluation."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+import condada.analysis as A
+import condada.conditioning as C
+import condada.networks as N
+import condada.objectives as O
+import condada.runner as R
+from condada import tensor as T
+from condada.datagen import LabeledSet
+from condada.tensor import Tensor
+
+
+def assert_same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert np.array_equal(a, b)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0
+
+
+def run_both(fused, chain, inputs, aux_seed=0):
+    """Evaluate both graphs on fresh copies of the inputs, backpropagate the
+    same cotangent through each, and require equal values and gradients."""
+    outs, grads = [], []
+    for build in (fused, chain):
+        leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+        out = build(*leaves)
+        if out.data.size == 1:
+            loss = out
+        else:
+            aux = np.random.default_rng(aux_seed).standard_normal(out.shape)
+            loss = T.tsum(T.mul(out, Tensor(aux)))
+        T.backward(loss)
+        outs.append(out.data)
+        grads.append([leaf.grad for leaf in leaves])
+    assert_same(outs[0], outs[1])
+    for g_fused, g_chain in zip(*grads):
+        assert g_fused is not None and g_chain is not None
+        assert_same(g_fused, g_chain)
+
+
+# --- affine ------------------------------------------------------------------
+
+
+def affine_chain(x, w, b, relu):
+    h = T.add(T.matmul(x, w), b)
+    return T.relu(h) if relu else h
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("rows", [1, 7])
+def test_affine_matches_matmul_add_relu(relu, rows):
+    rng = np.random.default_rng(rows)
+    inputs = [rng.standard_normal((rows, 5)), rng.standard_normal((5, 4)), rng.standard_normal(4)]
+    run_both(lambda x, w, b: T.affine(x, w, b, relu=relu),
+             lambda x, w, b: affine_chain(x, w, b, relu), inputs)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_affine_with_exactly_zero_preactivations(relu):
+    x = np.array([[1.0, -1.0], [2.0, 0.0], [0.0, 0.0]])
+    w = np.array([[1.0, 2.0], [1.0, 0.0]])
+    b = np.array([0.0, -2.0])
+    assert np.count_nonzero(x @ w + b == 0.0) == 3
+    run_both(lambda x, w, b: T.affine(x, w, b, relu=relu),
+             lambda x, w, b: affine_chain(x, w, b, relu), [x, w, b])
+
+
+def test_affine_single_unit_output():
+    rng = np.random.default_rng(3)
+    inputs = [rng.standard_normal((6, 4)), rng.standard_normal((4, 1)), rng.standard_normal(1)]
+    run_both(T.affine, lambda x, w, b: affine_chain(x, w, b, False), inputs)
+
+
+def test_affine_shape_error_names_both_shapes():
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
+        T.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+
+
+# --- sigmoid head ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("z", [
+    np.array([[-2.0], [0.0], [0.5], [3.0]]),
+    np.array([[-1e3], [-40.0], [40.0], [1e3]]),  # saturated at the clamp
+    np.array([[0.25]]),  # one-row batch
+])
+def test_sigmoid_head_matches_sigmoid_then_reshape(z):
+    n = z.shape[0]
+    run_both(lambda t: T.sigmoid(t, (n,)), lambda t: T.reshape(T.sigmoid(t), (n,)), [z])
+
+
+def test_saturated_sigmoid_head_sits_on_the_clamp():
+    p = T.sigmoid(Tensor(np.array([[-1e3], [1e3]])), (2,)).data
+    np.testing.assert_array_equal(p, [T.LOG_CLAMP, 1.0 - T.LOG_CLAMP])
+
+
+# --- loss heads --------------------------------------------------------------
+
+
+def cross_entropy_chain(g_probs, labels):
+    hot = Tensor(O.one_hot(labels, g_probs.shape[1]))
+    picked = T.tsum(T.mul(T.log(g_probs), hot), axis=1)
+    return T.scale(T.tsum(picked), -1.0 / g_probs.shape[0])
+
+
+@pytest.mark.parametrize("probs,labels", [
+    (np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6], [0.25, 0.5, 0.25]]), np.array([0, 2, 1])),
+    (np.array([[1e-13, 1.0 - 1e-13, 0.0], [0.0, 0.0, 1.0]]), np.array([0, 1])),  # at the clamp
+    (np.array([[0.4, 0.6]]), np.array([1])),  # one-row batch
+])
+def test_cross_entropy_matches_its_op_chain(probs, labels):
+    run_both(lambda p: O.cross_entropy(p, labels), lambda p: cross_entropy_chain(p, labels), [probs])
+
+
+def weighted_mean_chain(values, weights):
+    if weights is None:
+        return T.tmean(values)
+    return T.div(T.tsum(T.mul(values, weights)), T.tsum(weights))
+
+
+def adversarial_chain(d_src, d_tgt, w_src, w_tgt):
+    loss_src = weighted_mean_chain(T.scale(T.log(d_src), -1.0), w_src)
+    one_minus = T.add(T.scale(d_tgt, -1.0), Tensor(np.ones(d_tgt.shape)))
+    loss_tgt = weighted_mean_chain(T.scale(T.log(one_minus), -1.0), w_tgt)
+    return T.add(loss_src, loss_tgt)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("case", ["interior", "saturated", "one_row"])
+def test_adversarial_losses_match_their_op_chain(weighted, case):
+    rng = np.random.default_rng(len(case) + weighted)
+    n = 1 if case == "one_row" else 9
+    d_src = rng.uniform(0.05, 0.95, n)
+    d_tgt = rng.uniform(0.05, 0.95, n)
+    if case == "saturated":
+        d_src[:3] = [T.LOG_CLAMP, 1e-14, 1.0 - T.LOG_CLAMP]
+        d_tgt[:3] = [1.0 - T.LOG_CLAMP, 1.0 - 1e-14, T.LOG_CLAMP]
+    weights = [Tensor(rng.uniform(1.0, 2.0, n)), Tensor(rng.uniform(1.0, 2.0, n))] if weighted else [None, None]
+    run_both(lambda s, t: O.adversarial_losses(s, t, *weights),
+             lambda s, t: adversarial_chain(s, t, *weights), [d_src, d_tgt])
+
+
+def test_entropy_weights_match_their_op_chain():
+    rng = np.random.default_rng(8)
+    g = rng.dirichlet(np.full(4, 0.3), size=12)
+    g[0] = [1.0, 0.0, 0.0, 0.0]
+    g[1, :2] = [1e-14, 1.0 - 1e-14 - g[1, 2:].sum()]
+    h_chain = T.scale(T.tsum(T.mul(Tensor(g), T.log(Tensor(g))), axis=1), -1.0)
+    w_chain = T.add(T.exp(T.scale(h_chain, -1.0)), Tensor(np.ones(h_chain.shape)))
+    h = O.entropy(Tensor(g))
+    assert_same(h.data, h_chain.data)
+    assert_same(O.entropy_weight(h).data, w_chain.data)
+
+
+# --- tape memory behaviour -----------------------------------------------------
+
+
+def toy_bundle(seed=0, d_f=5, classes=3):
+    return N.init_model(
+        N.MlpSpec((2, 6, d_f), head="linear"),
+        N.MlpSpec((d_f, classes), head="softmax"),
+        N.MlpSpec((d_f * classes, 6, 1), head="sigmoid"),
+        seed=seed,
+    )
+
+
+def toy_step(bundle, seed=0, n=8):
+    rng = np.random.default_rng(seed)
+    return O.cdan_step_losses(rng.standard_normal((n, 2)), rng.integers(0, 3, n),
+                              rng.standard_normal((n, 2)) + 1.0, bundle,
+                              C.ConditioningStrategy(C.MULTILINEAR), lambda_eff=0.5,
+                              entropy_weighting=True)
+
+
+def interior_node_refs(root, params):
+    """Weak references to every recorded node below root that is not a parameter."""
+    param_ids = {id(p) for p in params}
+    refs, seen, stack = [], set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if id(t) not in param_ids:
+            refs.append(weakref.ref(t))
+        stack.extend(t._parents)
+    return refs
+
+
+@pytest.fixture
+def no_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("differentiate", [True, False])
+def test_step_graph_is_freed_by_reference_counting(no_cycle_collector, differentiate):
+    bundle = toy_bundle()
+    out = toy_step(bundle)
+    if differentiate:
+        T.backward(out.objective)
+    refs = interior_node_refs(out.objective, bundle.all_params())
+    assert len(refs) > 10
+    del out
+    assert [r for r in refs if r() is not None] == []
+
+
+def test_a_shared_node_takes_part_in_every_backward():
+    # Closures stay attached after backward, so a node shared by two losses
+    # passes gradient through both passes.
+    w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
+    h = T.affine(Tensor(np.array([[1.0, 2.0]])), w, Tensor(np.zeros(2)), relu=True)
+    T.backward(T.tsum(h))
+    first = w.grad.copy()
+    h.zero_grad()
+    w.zero_grad()
+    T.backward(T.scale(T.tsum(h), 2.0))
+    np.testing.assert_array_equal(w.grad, 2.0 * first)
+
+
+def test_no_tape_records_nothing_and_restores_taping():
+    bundle = toy_bundle()
+    x = Tensor(np.ones((3, 2)))
+    with T.no_tape():
+        f = N.forward_F(bundle, x)
+    assert f._backward is None and f._parents == () and not f.requires_grad
+    g = N.forward_F(bundle, x)
+    assert g._backward is not None and g.requires_grad
+    assert_same(f.data, g.data)
+
+
+def recorded_outputs(monkeypatch, owner, name):
+    outputs = []
+    original = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        outputs.extend(result if isinstance(result, tuple) else (result,))
+        return result
+
+    monkeypatch.setattr(owner, name, recording)
+    return outputs
+
+
+def test_training_forwards_record_a_backward(monkeypatch):
+    forwards = recorded_outputs(monkeypatch, N, "forward_F")
+    toy_step(toy_bundle())
+    assert len(forwards) == 2
+    assert all(t._backward is not None and t.requires_grad for t in forwards)
+
+
+def test_evaluation_forwards_record_no_backward(monkeypatch, tmp_path):
+    bundle = toy_bundle()
+    rng = np.random.default_rng(4)
+    labeled = LabeledSet(rng.standard_normal((12, 2)), rng.integers(0, 3, 12), "target")
+    features = recorded_outputs(monkeypatch, N, "forward_F")
+    predictions = recorded_outputs(monkeypatch, N, "forward_G")  # (logits, probs) per call
+
+    R._evaluate(bundle, labeled)
+    A.export_features(bundle, [labeled], tmp_path / "features.csv")
+    assert len(features) == 2 and len(predictions) == 2
+    assert all(t._backward is None and not t.requires_grad for t in features + predictions)
+
+
+def test_a_distance_probe_tapes_training_forwards_only(monkeypatch):
+    probs = recorded_outputs(monkeypatch, A, "_domain_prob")
+    rng = np.random.default_rng(2)
+    A.proxy_a_distance(rng.standard_normal((40, 3)), rng.standard_normal((40, 3)) + 1.0, seed=0)
+    taped = [p._backward is not None for p in probs]
+    assert taped == [True] * A._ADIST_EPOCHS + [False, False]
