@@ -82,19 +82,27 @@ def multilinear_map(f: Tensor, g: Tensor) -> Tensor:
     return T.rowwise_outer(f, g)
 
 
+def draw(rng: np.random.Generator, sampler: str, shape: tuple) -> np.ndarray:
+    """I.i.d. draws of shape ``shape`` from a zero-mean unit-variance law:
+    the standard normal ("gaussian") or uniform on [-sqrt(3), sqrt(3)].
+
+    The values depend only on the generator's stream, so consecutive draws of
+    k1 and k2 rows equal one draw of k1 + k2 rows, bit for bit.
+    """
+    if sampler == "gaussian":
+        return rng.standard_normal(shape)
+    if sampler == "uniform":
+        return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=shape)
+    raise ValueError(f"unknown sampler {sampler!r}, expected one of {SAMPLERS}")
+
+
 def sample_projection(d: int, d_f: int, d_g: int, sampler: str, seed: int) -> RandomProjection:
     """Draw R_f (d, d_f) and R_g (d, d_g) i.i.d. from a symmetric unit-variance law."""
     if min(d, d_f, d_g) < 1:
         raise ValueError(f"projection dims must be >= 1, got d={d}, d_f={d_f}, d_g={d_g}")
-    if sampler not in SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}, expected one of {SAMPLERS}")
     rng = np.random.default_rng([int(seed), _STREAM_PROJECTION])
-    if sampler == "gaussian":
-        r_f = rng.standard_normal((d, d_f))
-        r_g = rng.standard_normal((d, d_g))
-    else:
-        r_f = rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=(d, d_f))
-        r_g = rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=(d, d_g))
+    r_f = draw(rng, sampler, (d, d_f))
+    r_g = draw(rng, sampler, (d, d_g))
     return RandomProjection(r_f=Tensor(r_f), r_g=Tensor(r_g), sampler=sampler, seed=int(seed))
 
 

@@ -143,7 +143,9 @@ def no_tape():
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into every reachable leaf.
 
-    The tape is single-use: a second call on the same loss raises.
+    Interior nodes (those with a recorded backward) start the pass with no
+    gradient; leaves keep accumulating across passes until zeroed. The tape
+    is single-use: a second call on the same loss raises.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward() requires a scalar loss, got shape {loss.shape}")
@@ -167,6 +169,11 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in visited and parent.requires_grad:
                 stack.append((parent, False))
 
+    # An interior node's grad belongs to one pass: a node shared with an
+    # earlier loss would otherwise pass that loss's gradient on again.
+    for t in topo:
+        if t._backward is not None:
+            t.grad = None
     _accumulate(loss, np.ones_like(loss.data))
     for t in reversed(topo):
         if t._backward is not None:

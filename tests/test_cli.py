@@ -64,6 +64,14 @@ def test_verify_theorem1_low_resamples_is_argument_error():
     assert main(["verify-theorem1", "--resamples", "100"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--dims", "0"], ["--df", "0"], ["--dg", "0"]])
+def test_verify_theorem1_zero_width_is_argument_error(flags, capsys):
+    assert main(["verify-theorem1", "--resamples", "1000", "--samplers", "gaussian", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_verify_theorem1_gate_failure_exit_code(monkeypatch, capsys):
     from condada.analysis import Theorem1Result
 

@@ -131,6 +131,18 @@ def test_fanout_gradients_accumulate():
     np.testing.assert_allclose(x.grad, [5.0])
 
 
+@pytest.mark.parametrize("relu", [False, True])
+def test_second_backward_through_a_shared_node_counts_it_once(relu):
+    # Leaves accumulate across passes; the shared interior node h must not
+    # carry the first pass's gradient into the second.
+    w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
+    h = T.affine(Tensor(np.array([[1.0, 2.0]])), w, Tensor(np.zeros(2)), relu=relu)
+    T.backward(T.tsum(h))
+    first = w.grad.copy()
+    T.backward(T.scale(T.tsum(h), 2.0))
+    np.testing.assert_array_equal(w.grad, 3.0 * first)
+
+
 def _loss_through(op, x0, aux):
     """Build scalar loss sum(op(x) * aux) for the finite-difference audit."""
 
