@@ -25,7 +25,7 @@ from .datagen import LabeledSet, ShiftSpec, batch_iter, load_csv, make_rotated_b
 from .errors import ConfigError, NumericAbort
 from .networks import MlpSpec, ModelBundle, forward_D, forward_F, forward_G, init_model, load_model, save_model
 from .objectives import LossBreakdown, adversarial_losses, cdan_step_losses, cross_entropy, entropy, entropy_weight
-from .optim import ScheduleParams, lambda_schedule, lr_schedule, sgd_momentum_step
+from .optim import ScheduleParams, lambda_schedule, lr_schedule
 from .runner import compare, run_experiment, train, verify_theorem1
 from .tensor import Tensor, backward, gradient_reversal
 
@@ -38,6 +38,6 @@ __all__ = [
     "MlpSpec", "ModelBundle", "forward_D", "forward_F", "forward_G", "init_model", "load_model",
     "save_model", "LossBreakdown", "adversarial_losses", "cdan_step_losses", "cross_entropy",
     "entropy", "entropy_weight", "ScheduleParams", "lambda_schedule", "lr_schedule",
-    "sgd_momentum_step", "compare", "run_experiment", "train", "verify_theorem1", "Tensor", "backward",
+    "compare", "run_experiment", "train", "verify_theorem1", "Tensor", "backward",
     "gradient_reversal",
 ]

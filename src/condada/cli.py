@@ -2,8 +2,8 @@
 
 Verbs: run, compare, verify-theorem1, export-features. Every config key from
 the flat file format is mirrored as a flag (same dotted name) and overrides
-the file value. Exit codes: 0 success, 2 config/argument error, 3 numeric
-abort, 4 verification-gate failure.
+the file value. Exit codes: 0 success, 2 config/argument or file-system
+error, 3 numeric abort, 4 verification-gate failure.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def main(argv=None) -> int:
     except NumericAbort as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -55,24 +55,9 @@ def lambda_schedule(p: float, delta: float) -> float:
     return float((1.0 - e) / (1.0 + e))
 
 
-def sgd_momentum_step(params: list[np.ndarray], grads: list[np.ndarray],
-                      velocity: list[np.ndarray], eta: float,
-                      momentum: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Classical momentum: v <- momentum*v + grad; param <- param - eta*v."""
-    if len(params) != len(grads) or len(params) != len(velocity):
-        raise ValueError("params, grads and velocity must have equal lengths")
-    new_params, new_velocity = [], []
-    for p, g, v in zip(params, grads, velocity):
-        if p.shape != g.shape or p.shape != v.shape:
-            raise ValueError(f"shape mismatch in SGD step: param {p.shape}, grad {g.shape}, velocity {v.shape}")
-        v_next = momentum * v + g
-        new_params.append(p - eta * v_next)
-        new_velocity.append(v_next)
-    return new_params, new_velocity
-
-
 class SgdMomentum:
-    """Stateful wrapper over sgd_momentum_step with per-group learning-rate multipliers.
+    """Classical momentum, v <- momentum*v + grad; param <- param - lr*v, in
+    place, with a learning-rate multiplier per parameter group.
 
     Groups hold live parameter tensors; step() consumes and clears their grads.
     """
@@ -83,7 +68,6 @@ class SgdMomentum:
         self.velocity = [[np.zeros_like(t.data) for t in params] for params, _ in groups]
 
     def step(self, eta: float) -> None:
-        # Same recurrence as sgd_momentum_step, applied in place.
         for gi, (params, mult) in enumerate(self.groups):
             lr = eta * mult
             for t, v in zip(params, self.velocity[gi]):

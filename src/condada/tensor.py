@@ -338,7 +338,8 @@ def sigmoid(a: Tensor, shape: Optional[tuple] = None) -> Tensor:
     """
     a = _as_tensor(a)
     x = a.data
-    out_data = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     out_data = np.clip(out_data, LOG_CLAMP, 1.0 - LOG_CLAMP)
 
     def _bw(out):

@@ -101,3 +101,25 @@ def test_export_features_reproduces_run_export(tmp_path):
 
 def test_export_features_missing_model(tmp_path):
     assert main(["export-features", "--seed", "0", "--out", str(tmp_path)]) == 2
+
+
+def test_export_features_into_a_missing_directory_is_exit_2(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    base = ["--dataset.n_source", "120", "--dataset.n_target", "120", "--train.total_steps", "20"]
+    assert main(["run", *base, "--seed", "0", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    code = main(["export-features", *base, "--seed", "0", "--out", str(run_dir),
+                 "--output", str(tmp_path / "missing" / "f.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_run_into_an_existing_file_is_exit_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["run", "--dataset.n_source", "120", "--dataset.n_target", "120",
+                 "--train.total_steps", "20", "--seed", "0", "--out", str(taken)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

@@ -5,7 +5,7 @@ import pytest
 
 from condada import optim
 from condada.errors import ConfigError
-from condada.optim import ScheduleParams, lambda_schedule, lr_schedule, sgd_momentum_step
+from condada.optim import ScheduleParams, lambda_schedule, lr_schedule
 from condada.tensor import Tensor
 
 
@@ -68,48 +68,64 @@ def test_schedule_params_validation():
         ScheduleParams(delta=0.0)
 
 
+def sgd_momentum_step(params, grads, velocity, eta, momentum):
+    """Oracle: classical momentum as fresh arrays, v' = momentum*v + g, p' = p - eta*v'."""
+    new_velocity = [momentum * v + g for v, g in zip(velocity, grads)]
+    return [p - eta * v for p, v in zip(params, new_velocity)], new_velocity
+
+
 def test_zero_momentum_is_plain_sgd():
-    p = [np.array([1.0, 2.0])]
-    g = [np.array([0.5, -0.5])]
-    v = [np.zeros(2)]
-    new_p, new_v = sgd_momentum_step(p, g, v, eta=0.1, momentum=0.0)
-    np.testing.assert_allclose(new_p[0], [0.95, 2.05])
-    np.testing.assert_allclose(new_v[0], g[0])
+    t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    sgd = optim.SgdMomentum([([t], 1.0)], momentum=0.0)
+    t.grad = np.array([0.5, -0.5])
+    sgd.step(0.1)
+    np.testing.assert_allclose(t.data, [0.95, 2.05])
+    np.testing.assert_allclose(sgd.velocity[0][0], [0.5, -0.5])
+    assert t.grad is None
 
 
 def test_zero_gradients_leave_params_fixed():
-    p = [np.array([1.0, 2.0])]
-    v = [np.zeros(2)]
+    t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    sgd = optim.SgdMomentum([([t], 1.0)], momentum=0.9)
     for _ in range(5):
-        p, v = sgd_momentum_step(p, [np.zeros(2)], v, eta=0.1, momentum=0.9)
-    np.testing.assert_array_equal(p[0], [1.0, 2.0])
+        t.grad = np.zeros(2)
+        sgd.step(0.1)
+    np.testing.assert_array_equal(t.data, [1.0, 2.0])
 
 
 def test_two_steps_with_constant_gradient_displace_by_2_9_g():
     # Hand-unrolled: v1 = g, v2 = 0.9 g + g = 1.9 g, total step = -(1 + 1.9) g.
     g = np.array([2.0, -1.0])
-    p = [np.zeros(2)]
-    v = [np.zeros(2)]
+    t = Tensor(np.zeros(2), requires_grad=True)
+    sgd = optim.SgdMomentum([([t], 1.0)], momentum=0.9)
     for _ in range(2):
-        p, v = sgd_momentum_step(p, [g], v, eta=1.0, momentum=0.9)
-    np.testing.assert_allclose(p[0], -2.9 * g, rtol=0, atol=1e-15)
+        t.grad = g.copy()
+        sgd.step(1.0)
+    np.testing.assert_allclose(t.data, -2.9 * g, rtol=0, atol=1e-15)
 
 
 def test_sgd_shape_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        sgd_momentum_step([np.zeros(2)], [np.zeros(3)], [np.zeros(2)], 0.1, 0.9)
+    t = Tensor(np.zeros(2), requires_grad=True)
+    sgd = optim.SgdMomentum([([t], 1.0)], momentum=0.9)
+    t.grad = np.zeros(3)
+    with pytest.raises(ValueError, match="broadcast"):
+        sgd.step(0.1)
 
 
 def test_stateful_wrapper_matches_functional_core():
+    # In place, v *= m; v += g; data -= lr*v computes the oracle's
+    # expressions in the same order, so the results are equal bit for bit.
     rng = np.random.default_rng(0)
     data = rng.standard_normal((3, 3))
     grads = [rng.standard_normal((3, 3)) for _ in range(3)]
 
-    t = Tensor(data.copy(), requires_grad=True)
-    wrapper = optim.SgdMomentum([([t], 2.0)], momentum=0.9)
-    p, v = [data.copy()], [np.zeros_like(data)]
-    for g in grads:
-        t.grad = g.copy()
-        wrapper.step(0.05)
-        p, v = sgd_momentum_step(p, [g], v, eta=0.05 * 2.0, momentum=0.9)
-    np.testing.assert_allclose(t.data, p[0], rtol=0, atol=1e-15)
+    for mult in (1.0, 2.0):
+        t = Tensor(data.copy(), requires_grad=True)
+        wrapper = optim.SgdMomentum([([t], mult)], momentum=0.9)
+        p, v = [data.copy()], [np.zeros_like(data)]
+        for g in grads:
+            t.grad = g.copy()
+            wrapper.step(0.05)
+            p, v = sgd_momentum_step(p, [g], v, eta=0.05 * mult, momentum=0.9)
+        np.testing.assert_array_equal(t.data, p[0])
+        np.testing.assert_array_equal(wrapper.velocity[0][0], v[0])
