@@ -83,20 +83,16 @@ def proxy_a_distance(f_src: np.ndarray, f_tgt: np.ndarray, seed: int) -> float:
     x_train = np.vstack([src_train, tgt_train])
     y_train = np.concatenate([np.ones(src_train.shape[0]), np.zeros(tgt_train.shape[0])])
 
-    dim = x_train.shape[1]
-    init_rng = np.random.default_rng([seed, _STREAM_ADIST_INIT])
-    a = np.sqrt(6.0 / (dim + _ADIST_HIDDEN))
-    w1 = Tensor(init_rng.uniform(-a, a, size=(dim, _ADIST_HIDDEN)), requires_grad=True)
-    b1 = Tensor(np.zeros(_ADIST_HIDDEN), requires_grad=True)
-    w2 = Tensor(np.zeros((_ADIST_HIDDEN, 1)), requires_grad=True)
-    b2 = Tensor(np.zeros(1), requires_grad=True)
-    optimizer = optim.SgdMomentum([([w1, b1, w2, b2], 1.0)], _ADIST_MOMENTUM)
+    spec = N.MlpSpec((x_train.shape[1], _ADIST_HIDDEN, 1))
+    layers = N.init_layers(spec, np.random.default_rng([seed, _STREAM_ADIST_INIT]))
+    layers[-1][0].data[...] = 0.0  # drawn, then zeroed: the hidden layer keeps the stream's first draws
+    optimizer = optim.SgdMomentum([([t for pair in layers for t in pair], 1.0)], _ADIST_MOMENTUM)
 
     x_const = Tensor(x_train)
     y_const = Tensor(y_train)
     n = x_train.shape[0]
     for _ in range(_ADIST_EPOCHS):
-        p = _domain_prob(x_const, w1, b1, w2, b2)
+        p = N.forward_sigmoid(layers, spec, x_const)
         one_minus_y = Tensor(1.0 - y_train)
         one_minus_p = T.add(T.scale(p, -1.0), Tensor(np.ones(n)))
         ll = T.add(T.mul(y_const, T.log(p)), T.mul(one_minus_y, T.log(one_minus_p)))
@@ -105,17 +101,12 @@ def proxy_a_distance(f_src: np.ndarray, f_tgt: np.ndarray, seed: int) -> float:
         optimizer.step(_ADIST_LR)
 
     def test_error(rows: np.ndarray, label: float) -> np.ndarray:
-        p = _domain_prob(Tensor(rows), w1, b1, w2, b2).data
+        p = N.forward_sigmoid(layers, spec, Tensor(rows)).data
         return (p > 0.5).astype(np.float64) != label
 
     with T.no_tape():
         errors = np.concatenate([test_error(src_test, 1.0), test_error(tgt_test, 0.0)])
     return a_distance_from_error(errors.mean())
-
-
-def _domain_prob(x: Tensor, w1, b1, w2, b2) -> Tensor:
-    h = T.affine(x, w1, b1, relu=True)
-    return T.sigmoid(T.affine(h, w2, b2), (x.shape[0],))
 
 
 @dataclass(frozen=True)

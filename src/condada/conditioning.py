@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
 from . import tensor as T
 from .tensor import Tensor
 
@@ -158,24 +157,3 @@ def condition(f: Tensor, g: Tensor, strategy: ConditioningStrategy,
         f = T.l2_normalize_rows(f)
     return randomized_multilinear_map(f, g, proj)
 
-
-def save_projection(proj: RandomProjection, path) -> None:
-    serialize.write_arrays(
-        path,
-        {"proj.R_f": proj.r_f.data, "proj.R_g": proj.r_g.data},
-        meta={"proj.sampler": proj.sampler, "proj.seed": str(proj.seed)},
-    )
-
-
-def load_projection(path) -> RandomProjection:
-    arrays, meta = serialize.read_arrays(path)
-    return projection_from_arrays(arrays, meta)
-
-
-def projection_from_arrays(arrays: dict[str, np.ndarray], meta: dict[str, str]) -> RandomProjection:
-    return RandomProjection(
-        r_f=Tensor(arrays["proj.R_f"]),
-        r_g=Tensor(arrays["proj.R_g"]),
-        sampler=meta.get("proj.sampler", "gaussian"),
-        seed=int(meta.get("proj.seed", "0")),
-    )

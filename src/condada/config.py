@@ -6,18 +6,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from . import conditioning as C
 from .datagen import GENERATORS, LabeledSet, ShiftSpec, generate, load_csv
 from .errors import ConfigError
 from .networks import MlpSpec
 from .optim import ScheduleParams
-
-_STREAM_PROJ = 4
-_STREAM_SRC_BATCHES = 5
-_STREAM_TGT_BATCHES = 6
-_STREAM_ADIST = 7
 
 
 def _parse_bool(s: str) -> bool:
@@ -140,6 +133,8 @@ class ExperimentConfig:
             raise ConfigError(f"conditioning.threshold must be >= 1, got {self.threshold}")
         if self.randomized_d < 1:
             raise ConfigError(f"conditioning.d must be >= 1, got {self.randomized_d}")
+        if not self.f_hidden:
+            raise ConfigError("model.f_hidden must list at least one width")
         if not self.seeds:
             raise ConfigError("seeds must list at least one seed")
         if any(s < 0 for s in self.seeds):
@@ -180,9 +175,9 @@ class ExperimentConfig:
         d_f = self.f_hidden[-1]
         strategy = self.resolve_strategy()
         cond_dim = C.conditioned_dim(strategy, d_f, self.n_classes)
-        spec_f = MlpSpec((input_dim,) + self.f_hidden, head="linear")
-        spec_g = MlpSpec((d_f, self.n_classes), head="softmax")
-        spec_d = MlpSpec((cond_dim,) + self.d_hidden + (1,), head="sigmoid")
+        spec_f = MlpSpec((input_dim,) + self.f_hidden)
+        spec_g = MlpSpec((d_f, self.n_classes))
+        spec_d = MlpSpec((cond_dim,) + self.d_hidden + (1,))
         return spec_f, spec_g, spec_d
 
     def resolve_strategy(self) -> C.ConditioningStrategy:
@@ -193,9 +188,6 @@ class ExperimentConfig:
             tag=tag, d=self.randomized_d, sampler=self.sampler,
             normalize_features=self.normalize_features,
         )
-
-    def derived_seed(self, seed: int, stream: int) -> int:
-        return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
 
 
 def parse_config_lines(lines, origin: str = "<config>") -> dict[str, str]:

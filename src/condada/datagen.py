@@ -69,7 +69,6 @@ class ShiftSpec:
     rotation_deg: float | tuple[float, ...] | None = None
     translation: tuple[float, float] = (0.0, 0.0)
     class_angles_deg: tuple[float, ...] | None = None  # blob positions on the circle
-    class_means: tuple[tuple[float, float], ...] | None = None  # overrides angles
     class_scales: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -86,8 +85,6 @@ class ShiftSpec:
                 f"set sizes must divide evenly by n_classes={self.n_classes} for equal class priors, "
                 f"got n_source={self.n_source}, n_target={self.n_target}"
             )
-        if self.class_means is not None and len(self.class_means) != self.n_classes:
-            raise ConfigError(f"class_means needs {self.n_classes} entries, got {len(self.class_means)}")
         if self.class_angles_deg is not None and len(self.class_angles_deg) != self.n_classes:
             raise ConfigError(f"class_angles_deg needs {self.n_classes} entries, got {len(self.class_angles_deg)}")
         if self.class_scales is not None and len(self.class_scales) != self.n_classes:
@@ -122,8 +119,6 @@ def _transform_target(x: np.ndarray, y: np.ndarray, rotations: np.ndarray,
 
 
 def _blob_means(spec: ShiftSpec) -> np.ndarray:
-    if spec.class_means is not None:
-        return np.asarray(spec.class_means, dtype=np.float64)
     if spec.class_angles_deg is not None:
         angles = np.deg2rad(np.asarray(spec.class_angles_deg, dtype=np.float64))
     elif spec.n_classes == 3:

@@ -16,29 +16,21 @@ from . import tensor as T
 from .errors import ConfigError
 from .tensor import Tensor
 
-_HEADS = ("linear", "softmax", "sigmoid")
-
 # Per-network init streams derived from the model seed.
 _STREAM_F, _STREAM_G, _STREAM_D = 1, 2, 3
 
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer widths (input first) plus the output head transform."""
+    """Layer widths, input first."""
 
     widths: tuple[int, ...]
-    head: str = "linear"
-    hidden: str = "relu"
 
     def __post_init__(self):
         if len(self.widths) < 2:
             raise ConfigError(f"MlpSpec needs at least one layer (>=2 widths), got {self.widths}")
         if any(w < 1 for w in self.widths):
             raise ConfigError(f"MlpSpec widths must all be >= 1, got {self.widths}")
-        if self.head not in _HEADS:
-            raise ConfigError(f"unknown head {self.head!r}, expected one of {_HEADS}")
-        if self.hidden != "relu":
-            raise ConfigError(f"unsupported hidden activation {self.hidden!r}")
 
     @property
     def input_dim(self) -> int:
@@ -79,7 +71,7 @@ class ModelBundle:
         return self.params_f() + self.params_g() + self.params_d()
 
 
-def _init_layers(spec: MlpSpec, rng: np.random.Generator) -> list[tuple[Tensor, Tensor]]:
+def init_layers(spec: MlpSpec, rng: np.random.Generator) -> list[tuple[Tensor, Tensor]]:
     layers = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         a = np.sqrt(6.0 / (fan_in + fan_out))
@@ -101,9 +93,9 @@ def init_model(spec_f: MlpSpec, spec_g: MlpSpec, spec_d: MlpSpec, seed: int) -> 
         spec_f=spec_f,
         spec_g=spec_g,
         spec_d=spec_d,
-        layers_f=_init_layers(spec_f, np.random.default_rng([seed, _STREAM_F])),
-        layers_g=_init_layers(spec_g, np.random.default_rng([seed, _STREAM_G])),
-        layers_d=_init_layers(spec_d, np.random.default_rng([seed, _STREAM_D])),
+        layers_f=init_layers(spec_f, np.random.default_rng([seed, _STREAM_F])),
+        layers_g=init_layers(spec_g, np.random.default_rng([seed, _STREAM_G])),
+        layers_d=init_layers(spec_d, np.random.default_rng([seed, _STREAM_D])),
     )
 
 
@@ -128,10 +120,14 @@ def forward_G(bundle: ModelBundle, f: Tensor) -> tuple[Tensor, Tensor]:
     return logits, T.softmax_rows(logits)
 
 
+def forward_sigmoid(layers: list[tuple[Tensor, Tensor]], spec: MlpSpec, x: Tensor) -> Tensor:
+    """Rows -> per-row probability in (0, 1), shape (n,), of a one-unit MLP."""
+    return T.sigmoid(_forward_mlp(layers, spec, x), (x.shape[0],))
+
+
 def forward_D(bundle: ModelBundle, conditioned: Tensor) -> Tensor:
     """Conditioned rows -> per-row source probability in (0, 1), shape (n,)."""
-    out = _forward_mlp(bundle.layers_d, bundle.spec_d, conditioned)
-    return T.sigmoid(out, (conditioned.shape[0],))
+    return forward_sigmoid(bundle.layers_d, bundle.spec_d, conditioned)
 
 
 def save_model(bundle: ModelBundle, path, extra_arrays: dict[str, np.ndarray] | None = None,
@@ -142,7 +138,8 @@ def save_model(bundle: ModelBundle, path, extra_arrays: dict[str, np.ndarray] | 
             arrays[f"{tag}.{i}.W"] = w.data
             arrays[f"{tag}.{i}.b"] = b.data
     arrays.update(extra_arrays or {})
-    full_meta = {"F.head": bundle.spec_f.head, "G.head": bundle.spec_g.head, "D.head": bundle.spec_d.head}
+    # The heads that forward_F, forward_G and forward_D apply, as model.txt has always named them.
+    full_meta = {"F.head": "linear", "G.head": "softmax", "D.head": "sigmoid"}
     full_meta.update(meta or {})
     serialize.write_arrays(path, arrays, meta=full_meta)
 
@@ -164,6 +161,8 @@ def load_model(path) -> tuple[ModelBundle, dict[str, np.ndarray], dict[str, str]
         layers = []
         widths = []
         for i in sorted(by_index):
+            if len(by_index[i]) != 2:
+                raise ValueError(f"{path}: layer {tag}.{i} needs both its W and its b array")
             w, b = by_index[i]["W"], by_index[i]["b"]
             if not widths:
                 widths.append(w.shape[0])
@@ -172,7 +171,7 @@ def load_model(path) -> tuple[ModelBundle, dict[str, np.ndarray], dict[str, str]
         if not layers:
             raise ValueError(f"{path}: no layers found for network {tag}")
         layers_by_tag[tag] = layers
-        specs[tag] = MlpSpec(tuple(widths), head=meta.get(f"{tag}.head", "linear"))
+        specs[tag] = MlpSpec(tuple(widths))
     bundle = ModelBundle(
         spec_f=specs["F"], spec_g=specs["G"], spec_d=specs["D"],
         layers_f=layers_by_tag["F"], layers_g=layers_by_tag["G"], layers_d=layers_by_tag["D"],

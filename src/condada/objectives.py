@@ -32,8 +32,6 @@ from .tensor import Tensor
 class LossBreakdown:
     classifier_loss: float
     discriminator_loss: float
-    adversarial_term: float  # lambda-weighted adversarial summand of the generator objective
-    total_G: float
     entropy_weights: np.ndarray | None  # source rows then target rows, when entropy conditioning is on
     objective: Tensor  # graph scalar whose backward drives all three players
 
@@ -158,13 +156,9 @@ def cdan_step_losses(x_src: np.ndarray, y_src: np.ndarray, x_tgt: np.ndarray,
     if entropy_weighting:
         weights = np.concatenate([w_src.data, w_tgt.data])
 
-    cls_value = cls.item()
-    d_value = loss_d.item()
     return LossBreakdown(
-        classifier_loss=cls_value,
-        discriminator_loss=d_value,
-        adversarial_term=-lambda_eff * d_value,
-        total_G=cls_value - lambda_eff * d_value,
+        classifier_loss=cls.item(),
+        discriminator_loss=loss_d.item(),
         entropy_weights=weights,
         objective=objective,
     )

@@ -71,6 +71,8 @@ class SgdMomentum:
         for gi, (params, mult) in enumerate(self.groups):
             lr = eta * mult
             for t, v in zip(params, self.velocity[gi]):
+                if t.grad is not None and t.grad.shape != v.shape:
+                    raise ValueError(f"gradient shape {t.grad.shape} does not match parameter shape {v.shape}")
                 v *= self.momentum
                 if t.grad is not None:
                     v += t.grad

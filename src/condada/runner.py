@@ -8,6 +8,7 @@ and every emitted file is byte-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -20,13 +21,7 @@ from . import networks as N
 from . import objectives as O
 from . import optim as opt
 from . import tensor as T
-from .config import (
-    _STREAM_ADIST,
-    _STREAM_PROJ,
-    _STREAM_SRC_BATCHES,
-    _STREAM_TGT_BATCHES,
-    ExperimentConfig,
-)
+from .config import ExperimentConfig
 from .datagen import LabeledSet, batch_iter
 from .errors import ConfigError, NumericAbort
 from .tensor import Tensor
@@ -34,6 +29,15 @@ from .tensor import Tensor
 METRICS_HEADER = "epoch,step,lr,lambda_eff,loss_cls,loss_D,acc_src,acc_tgt,mean_w_correct,mean_w_incorrect"
 
 VARIANTS = ("source_only", "dann", "dann_g", "dann_fg", "cdan", "cdan_e")
+
+_STREAM_PROJ = 4
+_STREAM_SRC_BATCHES = 5
+_STREAM_TGT_BATCHES = 6
+_STREAM_ADIST = 7
+
+
+def derived_seed(seed: int, stream: int) -> int:
+    return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
 
 
 def apply_variant(cfg: ExperimentConfig, variant: str) -> ExperimentConfig:
@@ -69,23 +73,10 @@ def apply_variant(cfg: ExperimentConfig, variant: str) -> ExperimentConfig:
     return out.validate()
 
 
-class _BatchCycler:
+def _batch_cycle(labeled: LabeledSet, batch_size: int, seed: int):
     """Endless deterministic batch stream; each pass reshuffles with its epoch index."""
-
-    def __init__(self, labeled: LabeledSet, batch_size: int, seed: int):
-        self.labeled = labeled
-        self.batch_size = batch_size
-        self.seed = seed
-        self.epoch = 0
-        self._iter = batch_iter(labeled, batch_size, seed, 0)
-
-    def next(self):
-        try:
-            return next(self._iter)
-        except StopIteration:
-            self.epoch += 1
-            self._iter = batch_iter(self.labeled, self.batch_size, self.seed, self.epoch)
-            return next(self._iter)
+    for epoch in itertools.count():
+        yield from batch_iter(labeled, batch_size, seed, epoch)
 
 
 def _evaluate(bundle: N.ModelBundle, labeled: LabeledSet) -> tuple[float, np.ndarray]:
@@ -102,6 +93,8 @@ def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
     cfg.validate()
     if not set(range(cfg.n_classes)) <= set(src.y.tolist()):
         raise ConfigError(f"source set does not cover all {cfg.n_classes} classes")
+    if tgt.n == 0:
+        raise ConfigError("target set is empty")
 
     strategy = cfg.resolve_strategy()
     spec_f, spec_g, spec_d = cfg.model_specs(src.dim)
@@ -109,7 +102,7 @@ def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
     proj = None
     if strategy.tag == C.RANDOMIZED_MULTILINEAR:
         proj = C.sample_projection(strategy.d, bundle.d_f, bundle.d_g, strategy.sampler,
-                                   cfg.derived_seed(seed, _STREAM_PROJ))
+                                   derived_seed(seed, _STREAM_PROJ))
 
     schedule = cfg.schedule()
     optimizer = opt.SgdMomentum(
@@ -117,8 +110,8 @@ def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
          (bundle.params_d(), cfg.lr_mult_d)],
         momentum=schedule.momentum,
     )
-    src_batches = _BatchCycler(src, cfg.batch_size, cfg.derived_seed(seed, _STREAM_SRC_BATCHES))
-    tgt_batches = _BatchCycler(tgt, cfg.batch_size, cfg.derived_seed(seed, _STREAM_TGT_BATCHES))
+    src_batches = _batch_cycle(src, cfg.batch_size, derived_seed(seed, _STREAM_SRC_BATCHES))
+    tgt_batches = _batch_cycle(tgt, cfg.batch_size, derived_seed(seed, _STREAM_TGT_BATCHES))
 
     steps_per_epoch = math.ceil(src.n / cfg.batch_size)
     record = A.MetricsRecord()
@@ -127,8 +120,8 @@ def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
         lr = opt.lr_schedule(p, schedule)
         lambda_eff = schedule.lam * opt.lambda_schedule(p, schedule.delta)
 
-        x_s, y_s = src_batches.next()
-        x_t, _ = tgt_batches.next()
+        x_s, y_s = next(src_batches)
+        x_t, _ = next(tgt_batches)
         losses = O.cdan_step_losses(x_s, y_s, x_t, bundle, strategy, proj,
                                     lambda_eff=lambda_eff, entropy_weighting=cfg.entropy)
         if not (math.isfinite(losses.classifier_loss) and math.isfinite(losses.discriminator_loss)):
@@ -151,7 +144,7 @@ def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
     with T.no_tape():
         f_src = N.forward_F(bundle, Tensor(src.x)).data
         f_tgt = N.forward_F(bundle, Tensor(tgt.x)).data
-    record.a_distance = A.proxy_a_distance(f_src, f_tgt, cfg.derived_seed(seed, _STREAM_ADIST))
+    record.a_distance = A.proxy_a_distance(f_src, f_tgt, derived_seed(seed, _STREAM_ADIST))
     return bundle, record, proj
 
 

@@ -67,29 +67,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Small operator sugar; the module-level functions are the primary API.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def backward(self) -> None:
-        backward(self)
-
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -277,18 +254,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return node(out_data, (a,), _bw)
 
 
-def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.data > 0.0
-    out_data = np.where(mask, a.data, 0.0)
-
-    def _bw(out):
-        if a.requires_grad:
-            _accumulate(a, out.grad * mask)
-
-    return node(out_data, (a,), _bw)
-
-
 def log(a: Tensor) -> Tensor:
     """Natural log with the argument clamped to >= LOG_CLAMP.
 
@@ -302,17 +267,6 @@ def log(a: Tensor) -> Tensor:
     def _bw(out):
         if a.requires_grad:
             _accumulate(a, out.grad * mask / clamped)
-
-    return node(out_data, (a,), _bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def _bw(out):
-        if a.requires_grad:
-            _accumulate(a, out.grad * out_data)
 
     return node(out_data, (a,), _bw)
 
@@ -406,11 +360,6 @@ def tsum(a: Tensor, axis: Optional[int] = None) -> Tensor:
             _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
     return node(np.asarray(out_data), (a,), _bw)
-
-
-def tmean(a: Tensor, axis: Optional[int] = None) -> Tensor:
-    count = a.data.size if axis is None else a.shape[axis]
-    return scale(tsum(a, axis=axis), 1.0 / count)
 
 
 def gradient_reversal(a: Tensor, coeff: float) -> Tensor:

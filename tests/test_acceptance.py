@@ -96,9 +96,9 @@ def test_criterion_3_full_loss_gradient_audit():
     y_src = rng.integers(0, 3, 6)
     x_tgt = rng.standard_normal((6, 2)) + 0.5
     bundle = N.init_model(
-        N.MlpSpec((2, 6, 5), head="linear"),
-        N.MlpSpec((5, 3), head="softmax"),
-        N.MlpSpec((15, 6, 1), head="sigmoid"),
+        N.MlpSpec((2, 6, 5)),
+        N.MlpSpec((5, 3)),
+        N.MlpSpec((15, 6, 1)),
         seed=ACCEPTANCE_MASTER_SEED,
     )
     strategy = C.ConditioningStrategy(C.MULTILINEAR)

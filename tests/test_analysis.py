@@ -128,9 +128,9 @@ def test_entropy_report_uniform_predictions_both_groups():
 
 
 def test_export_features_rows_and_determinism(tmp_path):
-    bundle = N.init_model(N.MlpSpec((2, 4, 2), head="linear"),
-                          N.MlpSpec((2, 3), head="softmax"),
-                          N.MlpSpec((6, 4, 1), head="sigmoid"), seed=0)
+    bundle = N.init_model(N.MlpSpec((2, 4, 2)),
+                          N.MlpSpec((2, 3)),
+                          N.MlpSpec((6, 4, 1)), seed=0)
     rng = np.random.default_rng(0)
     src = LabeledSet(rng.standard_normal((12, 2)), rng.integers(0, 3, 12), "source")
     tgt = LabeledSet(rng.standard_normal((9, 2)), rng.integers(0, 3, 9), "target")

@@ -31,6 +31,7 @@ def test_flags_override_config_file(tmp_path):
 def test_config_error_exit_code(tmp_path):
     assert main(["run", "--strategy", "bogus", "--seed", "0", "--out", str(tmp_path)]) == 2
     assert main(["run", "--config", "/missing.cfg", "--seed", "0", "--out", str(tmp_path)]) == 2
+    assert main(["run", "--model.f_hidden", "", "--seed", "0", "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -123,3 +124,19 @@ def test_run_into_an_existing_file_is_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_export_features_from_a_truncated_model_is_exit_2(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    base = ["--dataset.n_source", "120", "--dataset.n_target", "120", "--train.total_steps", "20"]
+    assert main(["run", *base, "--seed", "0", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    truncated = tmp_path / "truncated.txt"
+    lines = (run_dir / "model.txt").read_text().splitlines(keepends=True)
+    truncated.write_text("".join(line for line in lines if not line.startswith("F.0.b ")))
+    code = main(["export-features", *base, "--seed", "0", "--out", str(run_dir),
+                 "--model", str(truncated), "--output", str(tmp_path / "f.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert str(truncated) in err and "F.0" in err

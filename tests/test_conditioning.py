@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import condada.conditioning as C
+from condada import serialize
 from condada import tensor as T
 from condada.tensor import Tensor
 
@@ -216,9 +217,9 @@ def test_normalize_flag_normalizes_feature_rows_before_randomized_map():
 def test_projection_round_trip(tmp_path):
     proj = C.sample_projection(8, 4, 2, "uniform", seed=21)
     path = tmp_path / "proj.txt"
-    C.save_projection(proj, path)
-    loaded = C.load_projection(path)
-    assert loaded.sampler == "uniform"
-    assert loaded.seed == 21
-    assert loaded.r_f.data.tobytes() == proj.r_f.data.tobytes()
-    assert loaded.r_g.data.tobytes() == proj.r_g.data.tobytes()
+    serialize.write_arrays(path, {"proj.R_f": proj.r_f.data, "proj.R_g": proj.r_g.data},
+                           meta={"proj.sampler": proj.sampler, "proj.seed": str(proj.seed)})
+    arrays, meta = serialize.read_arrays(path)
+    assert meta == {"proj.sampler": "uniform", "proj.seed": "21"}
+    assert arrays["proj.R_f"].tobytes() == proj.r_f.data.tobytes()
+    assert arrays["proj.R_g"].tobytes() == proj.r_g.data.tobytes()

@@ -76,6 +76,8 @@ def test_validation_rejects_bad_fields():
         config_from_pairs({"train.batch_size": "0"})
     with pytest.raises(ConfigError, match="momentum"):
         config_from_pairs({"schedule.momentum": "1.5"})
+    with pytest.raises(ConfigError, match="f_hidden"):
+        config_from_pairs({"model.f_hidden": ""})
 
 
 def test_csv_paths_must_come_together():
@@ -114,4 +116,3 @@ def test_model_specs_chain_widths():
     assert spec_f.widths == (2, 64, 64)
     assert spec_g.widths == (64, 3)
     assert spec_d.widths == (64 * 3, 64, 64, 1)
-    assert spec_d.head == "sigmoid"

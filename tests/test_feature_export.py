@@ -27,9 +27,9 @@ def serial_reference(bundle, sets, path):
 
 
 def make_bundle(d_f=5):
-    return N.init_model(N.MlpSpec((2, 8, d_f), head="linear"),
-                        N.MlpSpec((d_f, 3), head="softmax"),
-                        N.MlpSpec((3 * d_f, 4, 1), head="sigmoid"), seed=0)
+    return N.init_model(N.MlpSpec((2, 8, d_f)),
+                        N.MlpSpec((d_f, 3)),
+                        N.MlpSpec((3 * d_f, 4, 1)), seed=0)
 
 
 def make_sets(sizes, seed=0):

@@ -11,9 +11,9 @@ from condada.tensor import Tensor
 
 def small_bundle(seed=0, in_dim=2, d_f=8, classes=3, cond_dim=24):
     return N.init_model(
-        N.MlpSpec((in_dim, 16, d_f), head="linear"),
-        N.MlpSpec((d_f, classes), head="softmax"),
-        N.MlpSpec((cond_dim, 16, 1), head="sigmoid"),
+        N.MlpSpec((in_dim, 16, d_f)),
+        N.MlpSpec((d_f, classes)),
+        N.MlpSpec((cond_dim, 16, 1)),
         seed=seed,
     )
 
@@ -38,9 +38,9 @@ def test_biases_are_zero():
 
 def test_weight_variance_matches_uniform_law():
     # U[-a, a] with a^2 = 6/(fan_in+fan_out) has variance 2/(fan_in+fan_out).
-    spec = N.MlpSpec((256, 256), head="linear")
-    bundle = N.init_model(spec, N.MlpSpec((256, 4), head="softmax"),
-                          N.MlpSpec((8, 1), head="sigmoid"), seed=5)
+    spec = N.MlpSpec((256, 256))
+    bundle = N.init_model(spec, N.MlpSpec((256, 4)),
+                          N.MlpSpec((8, 1)), seed=5)
     w = bundle.layers_f[0][0].data
     expected = 2.0 / (256 + 256)
     assert abs(w.var() - expected) / expected < 0.2
@@ -48,8 +48,8 @@ def test_weight_variance_matches_uniform_law():
 
 def test_inconsistent_widths_raise_config_error():
     with pytest.raises(ConfigError, match="classifier input width"):
-        N.init_model(N.MlpSpec((2, 8), head="linear"), N.MlpSpec((9, 3), head="softmax"),
-                     N.MlpSpec((4, 1), head="sigmoid"), seed=0)
+        N.init_model(N.MlpSpec((2, 8)), N.MlpSpec((9, 3)),
+                     N.MlpSpec((4, 1)), seed=0)
 
 
 def test_zero_weight_classifier_head_predicts_uniform():
@@ -119,6 +119,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert loaded.spec_d == bundle.spec_d
     assert extras["proj.R_f"].tobytes() == np.array([[1.5, -2.25]]).tobytes()
     assert meta["proj.sampler"] == "uniform"
+    assert (meta["F.head"], meta["G.head"], meta["D.head"]) == ("linear", "softmax", "sigmoid")
 
 
 def test_spec_validation():
@@ -126,5 +127,3 @@ def test_spec_validation():
         N.MlpSpec((4,))
     with pytest.raises(ConfigError, match=">= 1"):
         N.MlpSpec((4, 0))
-    with pytest.raises(ConfigError, match="head"):
-        N.MlpSpec((4, 2), head="tanh")

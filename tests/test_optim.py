@@ -105,11 +105,14 @@ def test_two_steps_with_constant_gradient_displace_by_2_9_g():
 
 
 def test_sgd_shape_mismatch():
-    t = Tensor(np.zeros(2), requires_grad=True)
-    sgd = optim.SgdMomentum([([t], 1.0)], momentum=0.9)
-    t.grad = np.zeros(3)
-    with pytest.raises(ValueError, match="broadcast"):
-        sgd.step(0.1)
+    # A (1,) gradient would broadcast onto the (2,) parameter and move both entries.
+    for grad in (np.zeros(3), np.array([1.0])):
+        t = Tensor(np.zeros(2), requires_grad=True)
+        sgd = optim.SgdMomentum([([t], 1.0)], momentum=0.9)
+        t.grad = grad
+        with pytest.raises(ValueError, match=rf"gradient shape \({grad.size},\) does not match parameter shape"):
+            sgd.step(0.1)
+        np.testing.assert_array_equal(t.data, [0.0, 0.0])
 
 
 def test_stateful_wrapper_matches_functional_core():

@@ -13,9 +13,10 @@ import condada.objectives as O
 import condada.optim as opt
 from condada import tensor as T
 from condada.analysis import accuracy
-from condada.config import _STREAM_SRC_BATCHES, ExperimentConfig
-from condada.errors import NumericAbort
-from condada.runner import METRICS_HEADER, apply_variant, compare, run_experiment, verify_theorem1
+from condada.config import ExperimentConfig
+from condada.errors import ConfigError, NumericAbort
+from condada.runner import (_STREAM_SRC_BATCHES, METRICS_HEADER, apply_variant, compare, derived_seed,
+                            run_experiment, train, verify_theorem1)
 from condada.tensor import Tensor
 
 
@@ -53,7 +54,7 @@ def _supervised_oracle(cfg: ExperimentConfig, seed: int):
         [(bundle.params_f(), cfg.lr_mult_f), (bundle.params_g(), cfg.lr_mult_g)],
         momentum=schedule.momentum,
     )
-    seed_src = cfg.derived_seed(seed, _STREAM_SRC_BATCHES)
+    seed_src = derived_seed(seed, _STREAM_SRC_BATCHES)
     epoch, batches = 0, iter(D.batch_iter(src, cfg.batch_size, seed_src, 0))
     for step in range(cfg.total_steps):
         try:
@@ -127,6 +128,14 @@ def test_compare_rows_and_summary(tmp_path):
     assert float(summary[2]) == pytest.approx(np.mean(accs), abs=1e-15)
     for sub in ("seed_0", "seed_1", "seed_2"):
         assert (tmp_path / "source_only" / sub / "metrics.csv").exists()
+
+
+def test_empty_target_set_is_a_config_error():
+    cfg = short_cfg()
+    src, tgt = cfg.make_dataset(0)
+    empty = D.LabeledSet(tgt.x[:0], tgt.y[:0], "target")
+    with pytest.raises(ConfigError, match="target set is empty"):
+        train(cfg, 0, src, empty)
 
 
 def test_compare_requires_multiple_axes(tmp_path):

@@ -16,6 +16,8 @@ from condada import tensor as T
 from condada.datagen import LabeledSet
 from condada.tensor import Tensor
 
+import helpers as H
+
 
 def assert_same(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -49,7 +51,7 @@ def run_both(fused, chain, inputs, aux_seed=0):
 
 def affine_chain(x, w, b, relu):
     h = T.add(T.matmul(x, w), b)
-    return T.relu(h) if relu else h
+    return H.relu(h) if relu else h
 
 
 @pytest.mark.parametrize("relu", [False, True])
@@ -120,7 +122,7 @@ def test_cross_entropy_matches_its_op_chain(probs, labels):
 
 def weighted_mean_chain(values, weights):
     if weights is None:
-        return T.tmean(values)
+        return H.tmean(values)
     return T.div(T.tsum(T.mul(values, weights)), T.tsum(weights))
 
 
@@ -152,7 +154,7 @@ def test_entropy_weights_match_their_op_chain():
     g[0] = [1.0, 0.0, 0.0, 0.0]
     g[1, :2] = [1e-14, 1.0 - 1e-14 - g[1, 2:].sum()]
     h_chain = T.scale(T.tsum(T.mul(Tensor(g), T.log(Tensor(g))), axis=1), -1.0)
-    w_chain = T.add(T.exp(T.scale(h_chain, -1.0)), Tensor(np.ones(h_chain.shape)))
+    w_chain = T.add(H.exp(T.scale(h_chain, -1.0)), Tensor(np.ones(h_chain.shape)))
     h = O.entropy(Tensor(g))
     assert_same(h.data, h_chain.data)
     assert_same(O.entropy_weight(h).data, w_chain.data)
@@ -163,9 +165,9 @@ def test_entropy_weights_match_their_op_chain():
 
 def toy_bundle(seed=0, d_f=5, classes=3):
     return N.init_model(
-        N.MlpSpec((2, 6, d_f), head="linear"),
-        N.MlpSpec((d_f, classes), head="softmax"),
-        N.MlpSpec((d_f * classes, 6, 1), head="sigmoid"),
+        N.MlpSpec((2, 6, d_f)),
+        N.MlpSpec((d_f, classes)),
+        N.MlpSpec((d_f * classes, 6, 1)),
         seed=seed,
     )
 
@@ -272,7 +274,7 @@ def test_evaluation_forwards_record_no_backward(monkeypatch, tmp_path):
 
 
 def test_a_distance_probe_tapes_training_forwards_only(monkeypatch):
-    probs = recorded_outputs(monkeypatch, A, "_domain_prob")
+    probs = recorded_outputs(monkeypatch, N, "forward_sigmoid")
     rng = np.random.default_rng(2)
     A.proxy_a_distance(rng.standard_normal((40, 3)), rng.standard_normal((40, 3)) + 1.0, seed=0)
     taped = [p._backward is not None for p in probs]
