@@ -27,12 +27,14 @@ _ADIST_MOMENTUM = 0.9
 
 @dataclass
 class EpochMetrics:
+    """One row of metrics.csv; the fields are its columns, in order."""
+
     epoch: int
     step: int
     lr: float
     lambda_eff: float
     loss_cls: float
-    loss_d: float
+    loss_d: float = field(metadata={"column": "loss_D"})
     acc_src: float
     acc_tgt: float
     mean_w_correct: float | None

@@ -9,12 +9,13 @@ error, 3 numeric abort, 4 verification-gate failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
 from . import analysis as A
 from . import networks as N
-from .config import KEY_TABLE, ExperimentConfig, config_from_pairs, load_config, parse_config_lines
+from .config import KEYS, ExperimentConfig, load_config
 from .errors import ConfigError, NumericAbort
 from .runner import compare, run_experiment, verify_theorem1
 
@@ -26,24 +27,14 @@ EXIT_GATE = 4
 
 def _add_config_flags(parser: argparse.ArgumentParser, skip: tuple[str, ...] = ()) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    for key in KEY_TABLE:
-        if key in skip:
-            continue
-        parser.add_argument(f"--{key}", dest=f"cfgkey::{key}", metavar="VALUE", help=argparse.SUPPRESS)
+    for key in KEYS:
+        if key not in skip:
+            parser.add_argument(f"--{key}", dest=f"cfgkey::{key}", metavar="VALUE", help=argparse.SUPPRESS)
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    pairs: dict[str, str] = {}
-    if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file does not exist: {args.config}")
-        with open(args.config) as fh:
-            pairs.update(parse_config_lines(fh, origin=args.config))
-    for key in KEY_TABLE:
-        value = getattr(args, f"cfgkey::{key}", None)
-        if value is not None:
-            pairs[key] = value
-    return config_from_pairs(pairs, origin="<cli>")
+    flags = {key: getattr(args, f"cfgkey::{key}", None) for key in KEYS}
+    return load_config(args.config, {key: value for key, value in flags.items() if value is not None})
 
 
 def _cmd_run(args) -> int:
@@ -91,6 +82,10 @@ def _cmd_export_features(args) -> int:
         raise ConfigError(f"model file does not exist: {model_path}")
     bundle, _, _ = N.load_model(model_path)
     src, tgt = cfg.make_dataset(args.seed)
+    for tag, saved, wanted in zip("FGD", (bundle.spec_f, bundle.spec_g, bundle.spec_d), cfg.model_specs(src.dim)):
+        if saved != wanted:
+            raise ConfigError(f"{model_path}: network {tag} has widths {saved.widths}, "
+                              f"the config gives {wanted.widths}")
     out_path = args.output or os.path.join(args.out, "features.csv")
     A.export_features(bundle, [src, tgt], out_path)
     print(f"features written to {out_path}")
@@ -120,8 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--resamples", type=int, default=20000)
     p_ver.add_argument("--samplers", default="gaussian,uniform")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--df", type=int, default=16, help="feature-row width of the test quadruple")
-    p_ver.add_argument("--dg", type=int, default=8, help="prediction-row width of the test quadruple")
+    widths = inspect.signature(verify_theorem1).parameters
+    p_ver.add_argument("--df", type=int, default=widths["d_f"].default, help="feature-row width of the test quadruple")
+    p_ver.add_argument("--dg", type=int, default=widths["d_g"].default, help="prediction-row width of the test quadruple")
     p_ver.set_defaults(func=_cmd_verify_theorem1)
 
     p_exp = sub.add_parser("export-features", help="re-export features from a saved model without retraining")

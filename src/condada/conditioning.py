@@ -28,9 +28,6 @@ STRATEGY_TAGS = (FEATURE_ONLY, PREDICTION_ONLY, CONCAT, MULTILINEAR, RANDOMIZED_
 SAMPLERS = ("gaussian", "uniform")
 
 DEFAULT_DIM_THRESHOLD = 4096
-# Default output width when the randomized map is forced at desk scale;
-# small enough to stay well below d_f * d_g for the default players.
-DEFAULT_RANDOMIZED_DIM = 64
 
 # Half-width of the zero-mean unit-variance uniform law.
 _UNIFORM_HALF_WIDTH = float(np.sqrt(3.0))
@@ -41,7 +38,9 @@ _STREAM_PROJECTION = 12
 @dataclass(frozen=True)
 class ConditioningStrategy:
     tag: str
-    d: int = DEFAULT_RANDOMIZED_DIM
+    # Default output width when the randomized map is forced at desk scale;
+    # small enough to stay well below d_f * d_g for the default players.
+    d: int = 64
     sampler: str = "gaussian"
     normalize_features: bool = False
 

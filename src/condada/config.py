@@ -1,5 +1,9 @@
 """Experiment configuration: flat ``key = value`` text files with ``#``
-comments and dotted keys, mirrored one-to-one by CLI flags."""
+comments and dotted keys, mirrored one-to-one by CLI flags.
+
+Each setting is declared once, as an ``ExperimentConfig`` field whose metadata
+holds its dotted key, parser and checks; the key lookup, the flags and the
+sub-specs derive from it."""
 
 from __future__ import annotations
 
@@ -42,97 +46,67 @@ def _parse_pair(s: str) -> tuple[float, float]:
     return values
 
 
-# key -> (attribute path, parser). Every key doubles as a CLI flag.
-KEY_TABLE: dict[str, tuple[str, object]] = {
-    "dataset.generator": ("generator", str),
-    "dataset.classes": ("n_classes", int),
-    "dataset.n_source": ("n_source", int),
-    "dataset.n_target": ("n_target", int),
-    "dataset.noise": ("noise", float),
-    "dataset.radius": ("radius", float),
-    "dataset.rotation_deg": ("rotation_deg", _parse_rotation),
-    "dataset.translation": ("translation", _parse_pair),
-    "dataset.class_angles": ("class_angles_deg", _parse_float_list),
-    "dataset.class_scales": ("class_scales", _parse_float_list),
-    "dataset.source_csv": ("source_csv", str),
-    "dataset.target_csv": ("target_csv", str),
-    "model.f_hidden": ("f_hidden", _parse_int_list),
-    "model.d_hidden": ("d_hidden", _parse_int_list),
-    "strategy": ("strategy", str),
-    "entropy": ("entropy", _parse_bool),
-    "conditioning.threshold": ("threshold", int),
-    "conditioning.d": ("randomized_d", int),
-    "conditioning.sampler": ("sampler", str),
-    "conditioning.normalize_features": ("normalize_features", _parse_bool),
-    "schedule.eta0": ("eta0", float),
-    "schedule.alpha": ("alpha", float),
-    "schedule.beta": ("beta", float),
-    "schedule.delta": ("delta", float),
-    "schedule.momentum": ("momentum", float),
-    "schedule.lambda": ("lam", float),
-    "lr_mult.f": ("lr_mult_f", float),
-    "lr_mult.g": ("lr_mult_g", float),
-    "lr_mult.d": ("lr_mult_d", float),
-    "train.batch_size": ("batch_size", int),
-    "train.total_steps": ("total_steps", int),
-    "seeds": ("seeds", _parse_int_list),
-}
+def _key(key: str, parse, default=None, home: tuple[type, str] | None = None, **checks):
+    """Declare one setting: its dotted key, which is also its CLI flag, the
+    parser of its text value, and the ``choices`` or ``min`` that validate()
+    checks. A setting that a sub-spec also holds names that field as
+    ``home = (class, field name)`` and takes its default from there."""
+    if home is not None:
+        default = home[0].__dataclass_fields__[home[1]].default
+    return field(default=default, metadata={"key": key, "parse": parse, "home": home, **checks})
+
 
 _STRATEGY_CHOICES = ("auto",) + C.STRATEGY_TAGS
 
 
 @dataclass
 class ExperimentConfig:
-    generator: str = "rotated_blobs"
-    n_classes: int = 3
-    n_source: int = 600
-    n_target: int = 600
-    noise: float | None = None
-    radius: float = 4.0
-    rotation_deg: float | tuple[float, ...] | None = None
-    translation: tuple[float, float] = (0.0, 0.0)
-    class_angles_deg: tuple[float, ...] | None = None
-    class_scales: tuple[float, ...] | None = None
-    source_csv: str | None = None
-    target_csv: str | None = None
-    f_hidden: tuple[int, ...] = (64, 64)
-    d_hidden: tuple[int, ...] = (64, 64)
-    strategy: str = "auto"
-    entropy: bool = False
-    threshold: int = C.DEFAULT_DIM_THRESHOLD
-    randomized_d: int = C.DEFAULT_RANDOMIZED_DIM
-    sampler: str = "gaussian"
-    normalize_features: bool = False
-    eta0: float = 0.01
-    alpha: float = 10.0
-    beta: float = 0.75
-    delta: float = 10.0
-    momentum: float = 0.9
-    lam: float = 1.0
-    lr_mult_f: float = 1.0
-    lr_mult_g: float = 1.0
-    lr_mult_d: float = 1.0
-    batch_size: int = 64
-    total_steps: int = 3000
-    seeds: tuple[int, ...] = (0,)
+    generator: str = _key("dataset.generator", str, home=(ShiftSpec, "generator"), choices=GENERATORS)
+    n_classes: int = _key("dataset.classes", int, home=(ShiftSpec, "n_classes"))
+    n_source: int = _key("dataset.n_source", int, home=(ShiftSpec, "n_source"))
+    n_target: int = _key("dataset.n_target", int, home=(ShiftSpec, "n_target"))
+    noise: float | None = _key("dataset.noise", float, home=(ShiftSpec, "noise"))
+    radius: float = _key("dataset.radius", float, home=(ShiftSpec, "radius"))
+    rotation_deg: float | tuple[float, ...] | None = _key(
+        "dataset.rotation_deg", _parse_rotation, home=(ShiftSpec, "rotation_deg"))
+    translation: tuple[float, float] = _key("dataset.translation", _parse_pair, home=(ShiftSpec, "translation"))
+    class_angles_deg: tuple[float, ...] | None = _key(
+        "dataset.class_angles", _parse_float_list, home=(ShiftSpec, "class_angles_deg"))
+    class_scales: tuple[float, ...] | None = _key(
+        "dataset.class_scales", _parse_float_list, home=(ShiftSpec, "class_scales"))
+    source_csv: str | None = _key("dataset.source_csv", str)
+    target_csv: str | None = _key("dataset.target_csv", str)
+    f_hidden: tuple[int, ...] = _key("model.f_hidden", _parse_int_list, (64, 64))
+    d_hidden: tuple[int, ...] = _key("model.d_hidden", _parse_int_list, (64, 64))
+    strategy: str = _key("strategy", str, "auto", choices=_STRATEGY_CHOICES)
+    entropy: bool = _key("entropy", _parse_bool, False)
+    threshold: int = _key("conditioning.threshold", int, C.DEFAULT_DIM_THRESHOLD, min=1)
+    randomized_d: int = _key("conditioning.d", int, home=(C.ConditioningStrategy, "d"), min=1)
+    sampler: str = _key("conditioning.sampler", str, home=(C.ConditioningStrategy, "sampler"), choices=C.SAMPLERS)
+    normalize_features: bool = _key("conditioning.normalize_features", _parse_bool,
+                                    home=(C.ConditioningStrategy, "normalize_features"))
+    eta0: float = _key("schedule.eta0", float, home=(ScheduleParams, "eta0"))
+    alpha: float = _key("schedule.alpha", float, home=(ScheduleParams, "alpha"))
+    beta: float = _key("schedule.beta", float, home=(ScheduleParams, "beta"))
+    delta: float = _key("schedule.delta", float, home=(ScheduleParams, "delta"))
+    momentum: float = _key("schedule.momentum", float, home=(ScheduleParams, "momentum"))
+    lam: float = _key("schedule.lambda", float, home=(ScheduleParams, "lam"))
+    lr_mult_f: float = _key("lr_mult.f", float, 1.0)
+    lr_mult_g: float = _key("lr_mult.g", float, 1.0)
+    lr_mult_d: float = _key("lr_mult.d", float, 1.0)
+    batch_size: int = _key("train.batch_size", int, 64, min=1)
+    total_steps: int = _key("train.total_steps", int, 3000, min=1)
+    seeds: tuple[int, ...] = _key("seeds", _parse_int_list, (0,))
 
     def validate(self) -> "ExperimentConfig":
-        if self.strategy not in _STRATEGY_CHOICES:
-            raise ConfigError(f"strategy must be one of {_STRATEGY_CHOICES}, got {self.strategy!r}")
-        if self.sampler not in C.SAMPLERS:
-            raise ConfigError(f"conditioning.sampler must be one of {C.SAMPLERS}, got {self.sampler!r}")
-        if self.generator not in GENERATORS:
-            raise ConfigError(f"dataset.generator must be one of {GENERATORS}, got {self.generator!r}")
+        for f in fields(self):
+            meta, value = f.metadata, getattr(self, f.name)
+            if "choices" in meta and value not in meta["choices"]:
+                raise ConfigError(f"{meta['key']} must be one of {meta['choices']}, got {value!r}")
+            if "min" in meta and value < meta["min"]:
+                raise ConfigError(f"{meta['key']} must be >= {meta['min']}, got {value}")
         if (self.source_csv is None) != (self.target_csv is None):
             raise ConfigError("dataset.source_csv and dataset.target_csv must be given together")
-        if self.batch_size < 1:
-            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
-        if self.total_steps < 1:
-            raise ConfigError(f"train.total_steps must be >= 1, got {self.total_steps}")
-        if self.threshold < 1:
-            raise ConfigError(f"conditioning.threshold must be >= 1, got {self.threshold}")
-        if self.randomized_d < 1:
-            raise ConfigError(f"conditioning.d must be >= 1, got {self.randomized_d}")
         if not self.f_hidden:
             raise ConfigError("model.f_hidden must list at least one width")
         if not self.seeds:
@@ -142,9 +116,16 @@ class ExperimentConfig:
         self.schedule()  # raises ConfigError on bad schedule fields
         return self
 
+    def _section(self, cls, **extra):
+        """Build the sub-spec ``cls`` from the settings whose home it is."""
+        for f in fields(self):
+            home = f.metadata["home"]
+            if home is not None and home[0] is cls:
+                extra[home[1]] = getattr(self, f.name)
+        return cls(**extra)
+
     def schedule(self) -> ScheduleParams:
-        return ScheduleParams(eta0=self.eta0, alpha=self.alpha, beta=self.beta,
-                              delta=self.delta, momentum=self.momentum, lam=self.lam)
+        return self._section(ScheduleParams)
 
     def make_dataset(self, seed: int) -> tuple[LabeledSet, LabeledSet]:
         if self.source_csv is not None:
@@ -156,20 +137,7 @@ class ExperimentConfig:
             if src.dim != tgt.dim:
                 raise ConfigError(f"source and target feature widths differ: {src.dim} vs {tgt.dim}")
             return src, tgt
-        spec = ShiftSpec(
-            generator=self.generator,
-            n_classes=self.n_classes,
-            n_source=self.n_source,
-            n_target=self.n_target,
-            noise=self.noise,
-            seed=seed,
-            radius=self.radius,
-            rotation_deg=self.rotation_deg,
-            translation=self.translation,
-            class_angles_deg=self.class_angles_deg,
-            class_scales=self.class_scales,
-        )
-        return generate(spec)
+        return generate(self._section(ShiftSpec, seed=seed))
 
     def model_specs(self, input_dim: int) -> tuple[MlpSpec, MlpSpec, MlpSpec]:
         d_f = self.f_hidden[-1]
@@ -184,10 +152,7 @@ class ExperimentConfig:
         tag = self.strategy
         if tag == "auto":
             tag = C.select_strategy(self.f_hidden[-1], self.n_classes, self.threshold)
-        return C.ConditioningStrategy(
-            tag=tag, d=self.randomized_d, sampler=self.sampler,
-            normalize_features=self.normalize_features,
-        )
+        return self._section(C.ConditioningStrategy, tag=tag)
 
 
 def parse_config_lines(lines, origin: str = "<config>") -> dict[str, str]:
@@ -203,24 +168,34 @@ def parse_config_lines(lines, origin: str = "<config>") -> dict[str, str]:
     return pairs
 
 
-def config_from_pairs(pairs: dict[str, str], origin: str = "<config>") -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    valid_attrs = {f.name for f in fields(ExperimentConfig)}
+# Dotted key -> its ExperimentConfig field; every key doubles as a CLI flag.
+KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+
+
+def _apply(cfg: ExperimentConfig, pairs: dict[str, str], origin: str) -> ExperimentConfig:
     for key, raw in pairs.items():
-        if key not in KEY_TABLE:
+        if key not in KEYS:
             raise ConfigError(f"{origin}: unknown config key {key!r}")
-        attr, parser = KEY_TABLE[key]
-        assert attr in valid_attrs
         try:
-            setattr(cfg, attr, parser(raw))
+            setattr(cfg, KEYS[key].name, KEYS[key].metadata["parse"](raw))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{origin}: bad value for {key}: {raw!r} ({exc})") from exc
+    return cfg
+
+
+def config_from_pairs(pairs: dict[str, str]) -> ExperimentConfig:
+    return _apply(ExperimentConfig(), pairs, "<config>").validate()
+
+
+def load_config(path=None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """The config file at ``path`` (if any), then ``overrides`` (the CLI flags'
+    values by key) on top. An error names the file or the flag it came from."""
+    cfg = ExperimentConfig()
+    if path is not None:
+        if not os.path.exists(path):
+            raise ConfigError(f"config file does not exist: {path}")
+        with open(path) as fh:
+            _apply(cfg, parse_config_lines(fh, origin=str(path)), origin=str(path))
+    for key, raw in (overrides or {}).items():
+        _apply(cfg, {key: raw}, origin=f"--{key}")
     return cfg.validate()
-
-
-def load_config(path) -> ExperimentConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file does not exist: {path}")
-    with open(path) as fh:
-        pairs = parse_config_lines(fh, origin=str(path))
-    return config_from_pairs(pairs, origin=str(path))

@@ -8,7 +8,7 @@ marginal-only alignment can pair the wrong modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

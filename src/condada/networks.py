@@ -158,6 +158,9 @@ def load_model(path) -> tuple[ModelBundle, dict[str, np.ndarray], dict[str, str]
             extras[name] = arr
     specs = {}
     for tag, by_index in grouped.items():
+        missing = [i for i in range(len(by_index)) if i not in by_index]
+        if missing:
+            raise ValueError(f"{path}: network {tag} lacks layer {tag}.{missing[0]}")
         layers = []
         widths = []
         for i in sorted(by_index):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .datagen import LabeledSet, batch_iter
 from .errors import ConfigError, NumericAbort
 from .tensor import Tensor
 
-METRICS_HEADER = "epoch,step,lr,lambda_eff,loss_cls,loss_D,acc_src,acc_tgt,mean_w_correct,mean_w_incorrect"
+METRICS_HEADER = ",".join(f.metadata.get("column", f.name) for f in fields(A.EpochMetrics))
 
 VARIANTS = ("source_only", "dann", "dann_g", "dann_fg", "cdan", "cdan_e")
 
@@ -167,6 +167,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir) -> A.MetricsRecord
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, int):
+        return str(value)
     return repr(float(value))
 
 
@@ -174,11 +176,7 @@ def _write_metrics(record: A.MetricsRecord, path) -> None:
     with open(path, "w") as fh:
         fh.write(METRICS_HEADER + "\n")
         for m in record.epochs:
-            fh.write(",".join([
-                str(m.epoch), str(m.step), _fmt(m.lr), _fmt(m.lambda_eff), _fmt(m.loss_cls),
-                _fmt(m.loss_d), _fmt(m.acc_src), _fmt(m.acc_tgt),
-                _fmt(m.mean_w_correct), _fmt(m.mean_w_incorrect),
-            ]) + "\n")
+            fh.write(",".join(_fmt(getattr(m, f.name)) for f in fields(m)) + "\n")
 
 
 @dataclass

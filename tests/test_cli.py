@@ -34,6 +34,24 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--model.f_hidden", "", "--seed", "0", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("line", ["dataset.clases = 3", "schedule.eta0 = abc"])
+def test_config_file_error_names_the_file(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["run", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: ") and len(err.strip().splitlines()) == 1
+
+
+def test_config_flag_error_names_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "good.cfg"
+    cfg.write_text("schedule.eta0 = 0.02\n")
+    code = main(["run", "--config", str(cfg), "--schedule.eta0", "abc", "--seed", "0", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --schedule.eta0: ") and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_abort_exit_code(tmp_path, capsys):
     with np.errstate(all="ignore"):
@@ -140,3 +158,20 @@ def test_export_features_from_a_truncated_model_is_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert str(truncated) in err and "F.0" in err
+
+
+@pytest.mark.parametrize("layer", ["F.0", "F.1", "D.2"])
+def test_export_features_from_a_model_missing_a_layer_is_exit_2(tmp_path, capsys, layer):
+    run_dir = tmp_path / "run"
+    base = ["--dataset.n_source", "120", "--dataset.n_target", "120", "--train.total_steps", "20"]
+    assert main(["run", *base, "--seed", "0", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    cut = tmp_path / "cut.txt"
+    lines = (run_dir / "model.txt").read_text().splitlines(keepends=True)
+    cut.write_text("".join(line for line in lines if not line.startswith((f"{layer}.W ", f"{layer}.b "))))
+    code = main(["export-features", *base, "--seed", "0", "--out", str(run_dir),
+                 "--model", str(cut), "--output", str(tmp_path / "f.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(cut) in err and f"network {layer[0]}" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "f.csv").exists()

@@ -1,9 +1,15 @@
-"""Config file parsing, validation messages, and variant presets."""
+"""Config file parsing, validation messages, variant presets, and the schema
+that derives the key lookup and the CLI flags from ExperimentConfig."""
+
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 import condada.conditioning as C
-from condada.config import ExperimentConfig, config_from_pairs, load_config, parse_config_lines
+from condada.cli import build_parser
+from condada.config import KEYS, ExperimentConfig, config_from_pairs, load_config, parse_config_lines
 from condada.errors import ConfigError
 from condada.runner import apply_variant
 
@@ -116,3 +122,75 @@ def test_model_specs_chain_widths():
     assert spec_f.widths == (2, 64, 64)
     assert spec_g.widths == (64, 3)
     assert spec_d.widths == (64 * 3, 64, 64, 1)
+
+
+# key -> (a non-default text value, the value it parses to).
+NON_DEFAULT = {
+    "dataset.generator": ("twin_moons_shift", "twin_moons_shift"),
+    "dataset.classes": ("4", 4),
+    "dataset.n_source": ("300", 300),
+    "dataset.n_target": ("450", 450),
+    "dataset.noise": ("0.5", 0.5),
+    "dataset.radius": ("2.5", 2.5),
+    "dataset.rotation_deg": ("10,20,30", (10.0, 20.0, 30.0)),
+    "dataset.translation": ("1, -2", (1.0, -2.0)),
+    "dataset.class_angles": ("0,90,180", (0.0, 90.0, 180.0)),
+    "dataset.class_scales": ("1,2,3", (1.0, 2.0, 3.0)),
+    "dataset.source_csv": ("s.csv", "s.csv"),
+    "dataset.target_csv": ("t.csv", "t.csv"),
+    "model.f_hidden": ("32", (32,)),
+    "model.d_hidden": ("16,8", (16, 8)),
+    "strategy": ("concat", "concat"),
+    "entropy": ("yes", True),
+    "conditioning.threshold": ("1", 1),
+    "conditioning.d": ("32", 32),
+    "conditioning.sampler": ("uniform", "uniform"),
+    "conditioning.normalize_features": ("on", True),
+    "schedule.eta0": ("0.05", 0.05),
+    "schedule.alpha": ("5", 5.0),
+    "schedule.beta": ("0.5", 0.5),
+    "schedule.delta": ("3", 3.0),
+    "schedule.momentum": ("0.5", 0.5),
+    "schedule.lambda": ("0.25", 0.25),
+    "lr_mult.f": ("0.1", 0.1),
+    "lr_mult.g": ("0.2", 0.2),
+    "lr_mult.d": ("2", 2.0),
+    "train.batch_size": ("16", 16),
+    "train.total_steps": ("10", 10),
+    "seeds": ("1,2", (1, 2)),
+}
+# Keys that validation accepts only together.
+COMPANIONS = {"dataset.source_csv": "dataset.target_csv", "dataset.target_csv": "dataset.source_csv"}
+
+
+def test_each_field_has_exactly_one_key():
+    keys = [f.metadata["key"] for f in fields(ExperimentConfig)]
+    assert len(keys) == len(set(keys)) == 32
+    assert set(KEYS) == set(NON_DEFAULT)
+
+
+@pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+def test_each_key_sets_its_field_and_no_other(key):
+    pairs = {k: NON_DEFAULT[k][0] for k in (key, COMPANIONS.get(key, key))}
+    cfg, base = config_from_pairs(pairs), ExperimentConfig()
+    changed = {f.name for f in fields(cfg) if getattr(cfg, f.name) != getattr(base, f.name)}
+    assert changed == {KEYS[k].name for k in pairs}
+    assert getattr(cfg, KEYS[key].name) == NON_DEFAULT[key][1]
+
+
+def _config_flags(verb: str) -> set[str]:
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {a.dest.removeprefix("cfgkey::") for a in sub.choices[verb]._actions if a.dest.startswith("cfgkey::")}
+
+
+def test_verbs_expose_the_keys_as_flags():
+    assert _config_flags("run") == set(KEYS)
+    assert _config_flags("export-features") == set(KEYS)
+    assert _config_flags("compare") == set(KEYS) - {"seeds"}
+
+
+def test_readme_configuration_table_lists_exactly_the_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| ([a-z0-9_.]+) \|", section, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(["key", *KEYS])

@@ -224,7 +224,7 @@ def test_a_shared_node_takes_part_in_every_backward():
     h = T.affine(Tensor(np.array([[1.0, 2.0]])), w, Tensor(np.zeros(2)), relu=True)
     T.backward(T.tsum(h))
     first = w.grad.copy()
-    w.zero_grad()
+    w.grad = None
     T.backward(T.scale(T.tsum(h), 2.0))
     np.testing.assert_array_equal(w.grad, 2.0 * first)
 
