@@ -8,6 +8,7 @@ sub-specs derive from it."""
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field, fields
 
 from . import conditioning as C
@@ -76,8 +77,8 @@ class ExperimentConfig:
         "dataset.class_scales", _parse_float_list, home=(ShiftSpec, "class_scales"))
     source_csv: str | None = _key("dataset.source_csv", str)
     target_csv: str | None = _key("dataset.target_csv", str)
-    f_hidden: tuple[int, ...] = _key("model.f_hidden", _parse_int_list, (64, 64))
-    d_hidden: tuple[int, ...] = _key("model.d_hidden", _parse_int_list, (64, 64))
+    f_hidden: tuple[int, ...] = _key("model.f_hidden", _parse_int_list, (64, 64), min=1)
+    d_hidden: tuple[int, ...] = _key("model.d_hidden", _parse_int_list, (64, 64), min=1)
     strategy: str = _key("strategy", str, "auto", choices=_STRATEGY_CHOICES)
     entropy: bool = _key("entropy", _parse_bool, False)
     threshold: int = _key("conditioning.threshold", int, C.DEFAULT_DIM_THRESHOLD, min=1)
@@ -96,23 +97,28 @@ class ExperimentConfig:
     lr_mult_d: float = _key("lr_mult.d", float, 1.0)
     batch_size: int = _key("train.batch_size", int, 64, min=1)
     total_steps: int = _key("train.total_steps", int, 3000, min=1)
-    seeds: tuple[int, ...] = _key("seeds", _parse_int_list, (0,))
+    seeds: tuple[int, ...] = _key("seeds", _parse_int_list, (0,), min=0)
 
     def validate(self) -> "ExperimentConfig":
         for f in fields(self):
             meta, value = f.metadata, getattr(self, f.name)
             if "choices" in meta and value not in meta["choices"]:
                 raise ConfigError(f"{meta['key']} must be one of {meta['choices']}, got {value!r}")
-            if "min" in meta and value < meta["min"]:
+            values = value if isinstance(value, tuple) else (value,)  # a list checks each entry
+            if "min" in meta and any(v < meta["min"] for v in values):
                 raise ConfigError(f"{meta['key']} must be >= {meta['min']}, got {value}")
         if (self.source_csv is None) != (self.target_csv is None):
             raise ConfigError("dataset.source_csv and dataset.target_csv must be given together")
         if not self.f_hidden:
             raise ConfigError("model.f_hidden must list at least one width")
+        if self.source_csv is None:
+            try:
+                self._section(ShiftSpec)
+            except ConfigError as exc:  # name the dotted keys, not the ShiftSpec fields
+                keys = {f.metadata["home"][1]: f.metadata["key"] for f in fields(self) if f.metadata["home"]}
+                raise ConfigError(re.sub(r"\w+", lambda m: keys.get(m[0], m[0]), str(exc))) from None
         if not self.seeds:
             raise ConfigError("seeds must list at least one seed")
-        if any(s < 0 for s in self.seeds):
-            raise ConfigError(f"seeds must be nonnegative, got {self.seeds}")
         self.schedule()  # raises ConfigError on bad schedule fields
         return self
 

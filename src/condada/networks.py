@@ -102,11 +102,7 @@ def init_model(spec_f: MlpSpec, spec_g: MlpSpec, spec_d: MlpSpec, seed: int) -> 
 def _forward_mlp(layers: list[tuple[Tensor, Tensor]], spec: MlpSpec, x: Tensor) -> Tensor:
     if x.data.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"expected batch of shape (n, {spec.input_dim}), got {x.shape}")
-    h = x
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        h = T.affine(h, w, b, relu=i < last)
-    return h
+    return T.mlp(x, layers)
 
 
 def forward_F(bundle: ModelBundle, x: Tensor) -> Tensor:

@@ -152,8 +152,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir) -> A.MetricsRecord
     """Train one configuration end to end and write metrics.csv, model.txt and
     features.csv into out_dir."""
     cfg.validate()
-    os.makedirs(out_dir, exist_ok=True)
     src, tgt = cfg.make_dataset(seed)
+    os.makedirs(out_dir, exist_ok=True)
     bundle, record, proj = train(cfg, seed, src, tgt)
 
     _write_metrics(record, os.path.join(out_dir, "metrics.csv"))

@@ -8,8 +8,8 @@ reachable node with ``requires_grad``.
 
 A closure receives its node as an argument instead of capturing it, so a
 graph holds no reference cycles: reference counting frees it as soon as the
-last reference to its loss goes. Fused ops (:func:`affine`, :func:`sigmoid`
-with an output shape) record one node for what would otherwise be a chain,
+last reference to its loss goes. Fused ops (:func:`mlp`, a network pass, and
+:func:`sigmoid` with an output shape) record one node where a chain would be,
 computing the same numpy expressions in the same order, bit for bit. Inside
 ``with no_tape():`` ops compute values only and record nothing; evaluation
 forwards run that way.
@@ -69,8 +69,8 @@ def _as_tensor(x) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        # Copy: g may alias another node's grad buffer (identity-like backwards).
-        t.grad = np.array(g)
+        # Stored as is: a backward that would pass on a view of out.grad copies it.
+        t.grad = g
     else:
         t.grad += g
 
@@ -125,7 +125,7 @@ def backward(loss: Tensor) -> None:
 
     topo: list[Tensor] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor, bool]] = [(loss, False)] if loss._backward is not None else []
     while stack:
         t, expanded = stack.pop()
         if expanded:
@@ -136,18 +136,16 @@ def backward(loss: Tensor) -> None:
         visited.add(id(t))
         stack.append((t, True))
         for parent in t._parents:
-            if id(parent) not in visited and parent.requires_grad:
+            if id(parent) not in visited and parent._backward is not None:
                 stack.append((parent, False))
 
     # An interior node's grad belongs to one pass: a node shared with an
     # earlier loss would otherwise pass that loss's gradient on again.
     for t in topo:
-        if t._backward is not None:
-            t.grad = None
+        t.grad = None
     _accumulate(loss, np.ones_like(loss.data))
     for t in reversed(topo):
-        if t._backward is not None:
-            t._backward(t)
+        t._backward(t)
 
 
 # ---------------------------------------------------------------------------
@@ -170,27 +168,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return node(out_data, (a, b), _bw)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """x @ w + b, then ReLU when ``relu``: one node with the same arithmetic
-    as ``relu(add(matmul(x, w), b))``."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ValueError(f"affine shape mismatch: {x.shape} @ {w.shape}")
-    out_data = x.data @ w.data + b.data
-    if relu:
-        mask = out_data > 0.0
-        out_data = np.where(mask, out_data, 0.0)
+def mlp(x: Tensor, layers) -> Tensor:
+    """One network pass as one node: ``h @ w + b`` per ``(w, b)`` in ``layers``,
+    ReLU after all but the last, in the matmul/add/ReLU chain's arithmetic. The
+    ReLU (mask multiply, +0.0) is ``np.where(z > 0, z, 0.0)`` on finite ``z``,
+    -0.0 included, but turns a NaN or -inf into NaN, which reaches the loss."""
+    inputs, masks = [], []
+    h = x.data
+    for i, (w, b) in enumerate(layers):
+        if h.ndim != 2 or w.data.ndim != 2 or h.shape[1] != w.shape[0]:
+            raise ValueError(f"mlp layer {i} shape mismatch: {h.shape} @ {w.shape}")
+        inputs.append(h)
+        h = h @ w.data
+        h += b.data
+        if i < len(layers) - 1:
+            masks.append(h > 0.0)
+            h *= masks[i]
+            h += 0.0
 
     def _bw(out):
-        g = out.grad * mask if relu else out.grad
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
-        if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
-        if w.requires_grad:
-            _accumulate(w, x.data.T @ g)
+        g = out.grad
+        for i in reversed(range(len(layers))):
+            w, b = layers[i]
+            if b.requires_grad:
+                _accumulate(b, _unbroadcast(g, b.shape))
+            if w.requires_grad:
+                _accumulate(w, inputs[i].T @ g)
+            if i:
+                g = g @ w.data.T
+                g *= masks[i - 1]
+            elif x.requires_grad:
+                _accumulate(x, g @ w.data.T)
 
-    return node(out_data, (x, w, b), _bw)
+    return node(h, (x,) + tuple(t for pair in layers for t in pair), _bw)
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -199,10 +209,10 @@ def add(a: Tensor, b) -> Tensor:
 
     def _bw(out):
         g = out.grad
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        for t in (a, b):
+            if t.requires_grad:
+                gt = _unbroadcast(g, t.shape)
+                _accumulate(t, gt.copy() if gt is g else gt)
 
     return node(out_data, (a, b), _bw)
 
@@ -323,9 +333,9 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
         g = out.grad
         ga, gb = np.split(g, [split], axis=axis)
         if a.requires_grad:
-            _accumulate(a, ga)
+            _accumulate(a, ga.copy())
         if b.requires_grad:
-            _accumulate(b, gb)
+            _accumulate(b, gb.copy())
 
     return node(out_data, (a, b), _bw)
 
@@ -336,7 +346,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
 
     def _bw(out):
         if a.requires_grad:
-            _accumulate(a, out.grad.reshape(a.shape))
+            _accumulate(a, out.grad.reshape(a.shape).copy())
 
     return node(out_data, (a,), _bw)
 

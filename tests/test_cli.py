@@ -34,6 +34,19 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--model.f_hidden", "", "--seed", "0", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("dataset.n_source", "61"),  # not divisible by the 3 classes
+    ("model.f_hidden", "0"),
+    ("model.d_hidden", "64,0"),
+])
+def test_bad_dataset_or_width_names_the_key_and_writes_nothing(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "out"
+    assert main(["run", f"--{flag}", value, "--train.total_steps", "5", "--seed", "0", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and flag in err and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("line", ["dataset.clases = 3", "schedule.eta0 = abc"])
 def test_config_file_error_names_the_file(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"

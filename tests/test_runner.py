@@ -93,6 +93,22 @@ def test_nan_policy_aborts_with_step_index(tmp_path):
     assert "step" in str(exc.value)
 
 
+def test_a_nan_weight_aborts_at_step_0(tmp_path, monkeypatch):
+    # The ReLU passes the NaN column on instead of zeroing it, so the first
+    # loss is NaN; a ReLU that zeroed it would train on and save nan weights.
+    init_model = N.init_model
+
+    def planted(*args, **kwargs):
+        bundle = init_model(*args, **kwargs)
+        bundle.layers_f[0][0].data[0, 0] = np.nan
+        return bundle
+
+    monkeypatch.setattr(N, "init_model", planted)
+    with pytest.raises(NumericAbort) as exc:
+        run_experiment(short_cfg(total_steps=40), 0, tmp_path / "nan")
+    assert exc.value.step == 0
+
+
 def test_metrics_file_format_and_logged_schedules(tmp_path):
     cfg = apply_variant(short_cfg(total_steps=60, batch_size=32), "cdan_e")
     run_experiment(cfg, 2, tmp_path / "m")

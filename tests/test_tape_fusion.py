@@ -46,21 +46,41 @@ def run_both(fused, chain, inputs, aux_seed=0):
         assert_same(g_fused, g_chain)
 
 
-# --- affine ------------------------------------------------------------------
+# --- mlp ---------------------------------------------------------------------
 
 
-def affine_chain(x, w, b, relu):
-    h = T.add(T.matmul(x, w), b)
-    return H.relu(h) if relu else h
+def layer_pairs(params):
+    return list(zip(params[::2], params[1::2]))
 
 
+def mlp_chain(x, *params):
+    """The matmul/add/ReLU chain that one ``T.mlp`` node replaces."""
+    layers = layer_pairs(params)
+    h = x
+    for i, (w, b) in enumerate(layers):
+        h = T.add(T.matmul(h, w), b)
+        if i < len(layers) - 1:
+            h = H.relu(h)
+    return h
+
+
+def mlp_fused(x, *params):
+    return T.mlp(x, layer_pairs(params))
+
+
+def mlp_inputs(rng, widths, rows):
+    inputs = [rng.standard_normal((rows, widths[0]))]
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        inputs += [rng.standard_normal((fan_in, fan_out)), rng.standard_normal(fan_out)]
+    return inputs
+
+
+# The four affine tests run one layer, or two when ``relu`` puts a ReLU between them.
 @pytest.mark.parametrize("relu", [False, True])
 @pytest.mark.parametrize("rows", [1, 7])
 def test_affine_matches_matmul_add_relu(relu, rows):
     rng = np.random.default_rng(rows)
-    inputs = [rng.standard_normal((rows, 5)), rng.standard_normal((5, 4)), rng.standard_normal(4)]
-    run_both(lambda x, w, b: T.affine(x, w, b, relu=relu),
-             lambda x, w, b: affine_chain(x, w, b, relu), inputs)
+    run_both(mlp_fused, mlp_chain, mlp_inputs(rng, (5, 4, 3) if relu else (5, 4), rows))
 
 
 @pytest.mark.parametrize("relu", [False, True])
@@ -69,19 +89,64 @@ def test_affine_with_exactly_zero_preactivations(relu):
     w = np.array([[1.0, 2.0], [1.0, 0.0]])
     b = np.array([0.0, -2.0])
     assert np.count_nonzero(x @ w + b == 0.0) == 3
-    run_both(lambda x, w, b: T.affine(x, w, b, relu=relu),
-             lambda x, w, b: affine_chain(x, w, b, relu), [x, w, b])
+    second = [np.array([[0.5], [-1.5]]), np.array([0.25])] if relu else []
+    run_both(mlp_fused, mlp_chain, [x, w, b, *second])
 
 
 def test_affine_single_unit_output():
     rng = np.random.default_rng(3)
-    inputs = [rng.standard_normal((6, 4)), rng.standard_normal((4, 1)), rng.standard_normal(1)]
-    run_both(T.affine, lambda x, w, b: affine_chain(x, w, b, False), inputs)
+    run_both(mlp_fused, mlp_chain, mlp_inputs(rng, (4, 1), 6))
 
 
 def test_affine_shape_error_names_both_shapes():
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-        T.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+        T.mlp(Tensor(np.zeros((2, 3))), [(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))])
+
+
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_const"])
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("widths", [(3, 2), (3, 5, 2), (3, 6, 4, 1)], ids=["1layer", "2layer", "3layer"])
+def test_mlp_matches_its_op_chain(widths, rows, x_grad):
+    rng = np.random.default_rng([len(widths), rows])
+    x, *params = mlp_inputs(rng, widths, rows)
+    # Exactly-zero and -0.0 pre-activations in the first layer: a zero input
+    # row gives x @ w = 0, and a zero or -0.0 bias keeps it there.
+    x[0] = 0.0
+    params[1][:2] = [0.0, -0.0]
+    if x_grad:
+        run_both(mlp_fused, mlp_chain, [x, *params])
+    else:
+        run_both(lambda *p: mlp_fused(Tensor(x), *p), lambda *p: mlp_chain(Tensor(x), *p), params)
+
+
+SPECIAL_PREACTIVATIONS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                   -2.2250738585072014e-308, np.inf, 1.5, -1.5, 1e308, -1e308])
+
+
+def test_in_place_relu_equals_np_where_bit_for_bit():
+    # mlp's ReLU: a multiply by the mask, then +0.0 turns the -0.0 of a
+    # negative (or -0.0) pre-activation into the +0.0 that np.where writes.
+    z = SPECIAL_PREACTIVATIONS.copy()
+    expected = np.where(z > 0.0, z, 0.0)
+    z *= z > 0.0
+    z += 0.0
+    assert_same(z, expected)
+
+
+def test_mlp_relu_matches_the_chain_on_special_preactivations():
+    # One row per value, through a 1-1-1 network of unit weights and zero biases.
+    x = SPECIAL_PREACTIVATIONS.reshape(-1, 1)
+    params = [Tensor(np.ones((1, 1))), Tensor(np.zeros(1))] * 2
+    assert_same(T.mlp(Tensor(x), layer_pairs(params)).data, mlp_chain(Tensor(x), *params).data)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_mlp_passes_a_non_finite_preactivation_on(bad):
+    # np.where(z > 0, z, 0) would turn these into 0 and hide them from the loss.
+    layers = [(Tensor(np.zeros((1, 1))), Tensor([bad])), (Tensor(np.ones((1, 1))), Tensor([0.0]))]
+    with np.errstate(invalid="ignore"):
+        out = T.mlp(Tensor(np.ones((2, 1))), layers)
+    assert np.isnan(out.data).all()
 
 
 # --- sigmoid head ------------------------------------------------------------
@@ -221,7 +286,8 @@ def test_a_shared_node_takes_part_in_every_backward():
     # Closures stay attached after backward, so a node shared by two losses
     # passes gradient through both passes.
     w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
-    h = T.affine(Tensor(np.array([[1.0, 2.0]])), w, Tensor(np.zeros(2)), relu=True)
+    layers = [(w, Tensor(np.zeros(2))), (Tensor(np.eye(2)), Tensor(np.zeros(2)))]
+    h = T.mlp(Tensor(np.array([[1.0, 2.0]])), layers)
     T.backward(T.tsum(h))
     first = w.grad.copy()
     w.grad = None

@@ -111,6 +111,29 @@ def test_leaf_outside_graph_keeps_zero_gradient():
     assert unused.grad is None  # None encodes an exactly-zero gradient
 
 
+def test_backward_on_a_leaf_loss_gives_it_ones():
+    loss = Tensor(np.array(2.5), requires_grad=True)
+    T.backward(loss)
+    np.testing.assert_array_equal(loss.grad, 1.0)
+
+
+@pytest.mark.parametrize("op", [
+    lambda t: T.reshape(t, (6,)),
+    lambda t: T.concat(t, Tensor(np.ones((1, 3))), axis=0),
+    lambda t: T.add(t, Tensor(np.ones((2, 3)))),
+], ids=["reshape", "concat", "same_shape_add"])
+def test_backward_through_a_view_taking_op_leaves_no_aliased_gradient(op):
+    # These backwards pass on (a view of) the upstream gradient. Each leaf's
+    # grad must own its memory, or a later += into one leaf's gradient would
+    # write into another node's.
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    y = op(x)
+    T.backward(T.tsum(T.mul(y, Tensor(np.full(y.shape, 2.0)))))
+    assert x.grad.base is None and not np.shares_memory(x.grad, y.grad)
+    x.grad += 1.0
+    np.testing.assert_array_equal(y.grad, np.full(y.shape, 2.0))
+
+
 def test_backward_requires_scalar():
     v = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
@@ -135,9 +158,11 @@ def test_fanout_gradients_accumulate():
 @pytest.mark.parametrize("relu", [False, True])
 def test_second_backward_through_a_shared_node_counts_it_once(relu):
     # Leaves accumulate across passes; the shared interior node h must not
-    # carry the first pass's gradient into the second.
+    # carry the first pass's gradient into the second. With ``relu`` the
+    # network has a second, identity layer, so a ReLU sits between the two.
     w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
-    h = T.affine(Tensor(np.array([[1.0, 2.0]])), w, Tensor(np.zeros(2)), relu=relu)
+    layers = [(w, Tensor(np.zeros(2)))] + [(Tensor(np.eye(2)), Tensor(np.zeros(2)))] * relu
+    h = T.mlp(Tensor(np.array([[1.0, 2.0]])), layers)
     T.backward(T.tsum(h))
     first = w.grad.copy()
     T.backward(T.scale(T.tsum(h), 2.0))
