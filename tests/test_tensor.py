@@ -128,7 +128,7 @@ def test_backward_through_a_view_taking_op_leaves_no_aliased_gradient(op):
     # write into another node's.
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     y = op(x)
-    T.backward(T.tsum(T.mul(y, Tensor(np.full(y.shape, 2.0)))))
+    T.backward(T.tsum(T.scale(y, 2.0)))
     assert x.grad.base is None and not np.shares_memory(x.grad, y.grad)
     x.grad += 1.0
     np.testing.assert_array_equal(y.grad, np.full(y.shape, 2.0))
@@ -161,7 +161,7 @@ def test_second_backward_through_a_shared_node_counts_it_once(relu):
     # carry the first pass's gradient into the second. With ``relu`` the
     # network has a second, identity layer, so a ReLU sits between the two.
     w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
-    layers = [(w, Tensor(np.zeros(2)))] + [(Tensor(np.eye(2)), Tensor(np.zeros(2)))] * relu
+    layers = [(w, Tensor(np.zeros(2)))] + ([(Tensor(np.eye(2)), Tensor(np.zeros(2)))] if relu else [])
     h = T.mlp(Tensor(np.array([[1.0, 2.0]])), layers)
     T.backward(T.tsum(h))
     first = w.grad.copy()
