@@ -3,6 +3,7 @@ verifier, entropy/correctness grouping, and feature export."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ _ADIST_HIDDEN = 4
 _ADIST_EPOCHS = 200
 _ADIST_LR = 0.05
 _ADIST_MOMENTUM = 0.9
+ADIST_MIN_ROWS = 40  # per domain
 
 
 @dataclass
@@ -74,8 +76,8 @@ def proxy_a_distance(f_src: np.ndarray, f_tgt: np.ndarray, seed: int) -> float:
     """
     f_src = np.asarray(f_src, dtype=np.float64)
     f_tgt = np.asarray(f_tgt, dtype=np.float64)
-    if f_src.shape[0] < 40 or f_tgt.shape[0] < 40:
-        raise ValueError(f"need >= 40 rows per domain, got {f_src.shape[0]} and {f_tgt.shape[0]}")
+    if f_src.shape[0] < ADIST_MIN_ROWS or f_tgt.shape[0] < ADIST_MIN_ROWS:
+        raise ValueError(f"need >= {ADIST_MIN_ROWS} rows per domain, got {f_src.shape[0]} and {f_tgt.shape[0]}")
 
     # Interleaved 50/50 split: deterministic, class-balanced for block-ordered
     # rows, and independent of which argument holds which domain.
@@ -243,12 +245,12 @@ def export_features(bundle: N.ModelBundle, sets, path) -> None:
     Formatting the floats is nearly all of the cost, and it holds the GIL, so
     each set's rows are split into contiguous slices, one per usable CPU and
     at most one per MIN_ROWS_PER_WORKER rows. The parent forks one child per
-    slice after the first; each child formats its slice into memory and
-    writes it to its own pipe. The parent writes the first slice itself, then
-    copies the children's pipes into the file in slice order. Where os.fork
-    does not exist, or a set is too small to split, its rows are written
-    serially. The file is identical, byte for byte, for any number of
-    workers. A worker that fails raises OSError.
+    slice after the first (``forked``); each child formats its slice into
+    memory and writes it to its own pipe. The parent writes the first slice
+    itself, then copies the children's pipes into the file in slice order.
+    Where os.fork does not exist the slices are formatted inline. The file is
+    identical, byte for byte, for any number of workers. A worker that fails
+    raises OSError.
     """
     if isinstance(sets, LabeledSet):
         sets = [sets]
@@ -268,29 +270,52 @@ def _csv_lines(feats: np.ndarray, labels: np.ndarray, domain: str):
 
 def _write_rows(fh, feats: np.ndarray, labels: np.ndarray, domain: str) -> None:
     n = feats.shape[0]
-    workers = max(1, min(_usable_cpus(), n // MIN_ROWS_PER_WORKER)) if hasattr(os, "fork") else 1
+    workers = max(1, min(_usable_cpus(), n // MIN_ROWS_PER_WORKER))
     cuts = [n * k // workers for k in range(workers + 1)]
-    readers: dict[int, int] = {}  # worker -> read end of its pipe, until closed
-    pids: dict[int, int] = {}  # worker -> pid, until reaped
-    if workers > 1:
+    jobs = [(f"feature export worker {k} of {workers}", lambda lo=cuts[k], hi=cuts[k + 1]:
+             "".join(_csv_lines(feats[lo:hi], labels[lo:hi], domain)).encode("ascii"))
+            for k in range(1, workers)]
+    if jobs:
         fh.flush()  # a child must not inherit buffered bytes
+    with forked(jobs) as outputs:
+        for line in _csv_lines(feats[:cuts[1]], labels[:cuts[1]], domain):
+            fh.write(line.encode("ascii"))
+        for output in outputs:
+            for chunk in output:
+                fh.write(chunk)
+
+
+@contextlib.contextmanager
+def forked(jobs):
+    """Run each ``(name, produce)`` job's ``produce()`` in a forked child that
+    sends the bytes it returns through its own pipe, while the block runs.
+
+    The block gets one generator per job: it yields the child's bytes, then
+    reaps the child and raises OSError naming the job if the child failed.
+    Leaving the block kills and reaps every child not yet reaped and closes
+    every pipe. A child ends in os._exit: no atexit handler, no flush of
+    inherited buffers (the caller flushes its own first). ``produce`` must
+    take no lock another thread may have held at the fork; formatting floats
+    and numpy arithmetic take none. Without os.fork, or with one usable CPU,
+    where a child would only compete with the parent, each job runs inline.
+    """
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        yield [iter([produce()]) for _, produce in jobs]
+        return
+    readers: dict[int, int] = {}  # job -> read end of its pipe, until closed
+    pids: dict[int, int] = {}  # job -> pid, until reaped
     try:
-        for k in range(1, workers):
+        for k, (_, produce) in enumerate(jobs):
             r, w = os.pipe()
             readers[k] = r
             try:
                 pid = os.fork()
                 if pid == 0:
-                    # The child never returns into the caller: no atexit
-                    # handlers, no flush of inherited buffers. It only
-                    # formats floats, so it takes no lock another thread
-                    # may have held at the fork.
                     code = 1
                     try:
                         for fd in readers.values():
                             os.close(fd)
-                        lo, hi = cuts[k], cuts[k + 1]
-                        view = memoryview("".join(_csv_lines(feats[lo:hi], labels[lo:hi], domain)).encode("ascii"))
+                        view = memoryview(produce())
                         while view:
                             view = view[os.write(w, view):]
                         code = 0
@@ -304,15 +329,15 @@ def _write_rows(fh, feats: np.ndarray, labels: np.ndarray, domain: str) -> None:
             finally:
                 os.close(w)
 
-        for line in _csv_lines(feats[:cuts[1]], labels[:cuts[1]], domain):
-            fh.write(line.encode("ascii"))
-        for k in range(1, workers):
+        def output(k: int):
             while chunk := os.read(readers[k], 1 << 16):
-                fh.write(chunk)
+                yield chunk
             os.close(readers.pop(k))
             status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])
             if status != 0:
-                raise OSError(f"feature export worker {k} of {workers} failed with exit status {status}")
+                raise OSError(f"{jobs[k][0]} failed with exit status {status}")
+
+        yield [output(k) for k in range(len(jobs))]
     finally:
         for fd in readers.values():
             os.close(fd)

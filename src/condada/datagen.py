@@ -89,16 +89,17 @@ class ShiftSpec:
             raise ConfigError(f"class_angles_deg needs {self.n_classes} entries, got {len(self.class_angles_deg)}")
         if self.class_scales is not None and len(self.class_scales) != self.n_classes:
             raise ConfigError(f"class_scales needs {self.n_classes} entries, got {len(self.class_scales)}")
+        rot = self.rotation_deg
+        if rot is not None and not np.isscalar(rot) and np.shape(rot) != (self.n_classes,):
+            raise ConfigError(f"rotation_deg needs one angle or {self.n_classes} per-class angles, "
+                              f"got shape {np.shape(rot)}")
 
 
 def _rotations(spec: ShiftSpec, default_deg: float) -> np.ndarray:
     rot = spec.rotation_deg if spec.rotation_deg is not None else default_deg
     if np.isscalar(rot):
         return np.full(spec.n_classes, float(rot))
-    rot = np.asarray(rot, dtype=np.float64)
-    if rot.shape != (spec.n_classes,):
-        raise ConfigError(f"per-class rotation needs {spec.n_classes} angles, got shape {rot.shape}")
-    return rot
+    return np.asarray(rot, dtype=np.float64)
 
 
 def _rotate(points: np.ndarray, deg: float, pivot: np.ndarray | None = None) -> np.ndarray:

@@ -89,7 +89,8 @@ def _evaluate(bundle: N.ModelBundle, labeled: LabeledSet) -> tuple[float, np.nda
 def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
           ) -> tuple[N.ModelBundle, A.MetricsRecord, C.RandomProjection | None]:
     """The minimax loop over explicit datasets. Target labels are touched only
-    by the per-epoch evaluation, never by the optimization path."""
+    by the per-epoch evaluation, never by the optimization path. The record's
+    ``a_distance`` is left to ``run_experiment``."""
     cfg.validate()
     if not set(range(cfg.n_classes)) <= set(src.y.tolist()):
         raise ConfigError(f"source set does not cover all {cfg.n_classes} classes")
@@ -141,26 +142,37 @@ def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
                 mean_w_correct=mean_correct, mean_w_incorrect=mean_incorrect,
             ))
 
-    with T.no_tape():
-        f_src = N.forward_F(bundle, Tensor(src.x)).data
-        f_tgt = N.forward_F(bundle, Tensor(tgt.x)).data
-    record.a_distance = A.proxy_a_distance(f_src, f_tgt, derived_seed(seed, _STREAM_ADIST))
     return bundle, record, proj
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int, out_dir) -> A.MetricsRecord:
     """Train one configuration end to end and write metrics.csv, model.txt and
-    features.csv into out_dir."""
+    features.csv into out_dir. The proxy A-distance of the final features is
+    computed in a forked child while the files are written (``analysis.forked``),
+    so the parent never holds the features; the child sends back the float's
+    8 bytes, so the value is the inline one."""
     cfg.validate()
     src, tgt = cfg.make_dataset(seed)
+    for labeled, key, path in ((src, "dataset.n_source", cfg.source_csv), (tgt, "dataset.n_target", cfg.target_csv)):
+        if labeled.n < A.ADIST_MIN_ROWS:
+            raise ConfigError(f"{path or key}: {labeled.n} rows, fewer than the {A.ADIST_MIN_ROWS} "
+                              "per domain that the A-distance probe needs")
     os.makedirs(out_dir, exist_ok=True)
     bundle, record, proj = train(cfg, seed, src, tgt)
 
-    _write_metrics(record, os.path.join(out_dir, "metrics.csv"))
-    extra = {"proj.R_f": proj.r_f.data, "proj.R_g": proj.r_g.data} if proj is not None else None
-    meta = {"proj.sampler": proj.sampler, "proj.seed": str(proj.seed)} if proj is not None else None
-    N.save_model(bundle, os.path.join(out_dir, "model.txt"), extra_arrays=extra, meta=meta)
-    A.export_features(bundle, [src, tgt], os.path.join(out_dir, "features.csv"))
+    def probe() -> bytes:
+        with T.no_tape():
+            f_src = N.forward_F(bundle, Tensor(src.x)).data
+            f_tgt = N.forward_F(bundle, Tensor(tgt.x)).data
+        return np.float64(A.proxy_a_distance(f_src, f_tgt, derived_seed(seed, _STREAM_ADIST))).tobytes()
+
+    with A.forked([("A-distance probe", probe)]) as (a_distance,):
+        _write_metrics(record, os.path.join(out_dir, "metrics.csv"))
+        extra = {"proj.R_f": proj.r_f.data, "proj.R_g": proj.r_g.data} if proj is not None else None
+        meta = {"proj.sampler": proj.sampler, "proj.seed": str(proj.seed)} if proj is not None else None
+        N.save_model(bundle, os.path.join(out_dir, "model.txt"), extra_arrays=extra, meta=meta)
+        A.export_features(bundle, [src, tgt], os.path.join(out_dir, "features.csv"))
+        record.a_distance = float(np.frombuffer(b"".join(a_distance))[0])
     return record
 
 

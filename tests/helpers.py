@@ -1,9 +1,13 @@
-"""Shared test utilities: finite-difference oracles, relative error, and the
-tape ops that only the tests use as reference chains (relu, exp, tmean)."""
+"""Shared test utilities: finite-difference oracles, relative error, the
+tape ops that only the tests use as reference chains (relu, exp, tmean), and
+the fork and pipe recorders of the forked-child hygiene tests."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 
 from condada import tensor as T
 
@@ -58,3 +62,40 @@ def exp(a: T.Tensor) -> T.Tensor:
 def tmean(a: T.Tensor, axis: int | None = None) -> T.Tensor:
     count = a.data.size if axis is None else a.shape[axis]
     return T.scale(T.tsum(a, axis=axis), 1.0 / count)
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """Patch os.fork to record the pid of every child it starts."""
+    count = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            count.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return count
+
+
+def record_pipes(monkeypatch) -> list[int]:
+    """Patch os.pipe to record every fd it opens."""
+    fds = []
+    real_pipe = os.pipe
+
+    def recording_pipe():
+        r, w = real_pipe()
+        fds.extend((r, w))
+        return r, w
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    return fds
+
+
+def assert_no_child_and_no_open_pipe(fds):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)

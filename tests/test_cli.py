@@ -5,6 +5,7 @@ import pytest
 
 import condada.analysis
 from condada.cli import main
+from condada.datagen import LabeledSet, save_csv
 
 
 def test_run_writes_outputs_and_is_deterministic(tmp_path, capsys):
@@ -38,12 +39,40 @@ def test_config_error_exit_code(tmp_path):
     ("dataset.n_source", "61"),  # not divisible by the 3 classes
     ("model.f_hidden", "0"),
     ("model.d_hidden", "64,0"),
+    ("dataset.rotation_deg", "1,2"),  # per-class angles for 2 of the 3 classes
 ])
 def test_bad_dataset_or_width_names_the_key_and_writes_nothing(tmp_path, capsys, flag, value):
     out_dir = tmp_path / "out"
     assert main(["run", f"--{flag}", value, "--train.total_steps", "5", "--seed", "0", "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and flag in err and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag", ["dataset.n_source", "dataset.n_target"])
+def test_a_domain_below_the_probe_rows_fails_before_training(tmp_path, capsys, monkeypatch, flag):
+    def no_training(*args):
+        raise AssertionError("trained on a set the A-distance probe cannot use")
+
+    monkeypatch.setattr("condada.runner.train", no_training)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--dataset.n_source", "60", "--dataset.n_target", "60", f"--{flag}", "30",
+                 "--train.total_steps", "5", "--seed", "0", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: 30 rows") and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
+def test_a_csv_domain_below_the_probe_rows_names_the_file(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    paths = {}
+    for domain, n in (("source", 60), ("target", 39)):
+        paths[domain] = tmp_path / f"{domain}.csv"
+        save_csv(LabeledSet(rng.standard_normal((n, 2)), np.arange(n) % 3, domain), paths[domain])
+    out_dir = tmp_path / "out"
+    assert main(["run", "--dataset.source_csv", str(paths["source"]), "--dataset.target_csv", str(paths["target"]),
+                 "--train.total_steps", "5", "--seed", "0", "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {paths['target']}: 39 rows")
     assert not out_dir.exists()
 
 

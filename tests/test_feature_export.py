@@ -10,6 +10,7 @@ import condada.networks as N
 import condada.tensor as T
 from condada.datagen import LabeledSet
 from condada.tensor import Tensor
+from helpers import assert_no_child_and_no_open_pipe, count_forks, record_pipes
 
 
 def serial_reference(bundle, sets, path):
@@ -49,17 +50,7 @@ def both_exports(tmp_path, bundle, sets):
 def forks(monkeypatch):
     """Split down to 2 rows per worker and count the forks."""
     monkeypatch.setattr(A, "MIN_ROWS_PER_WORKER", 2)
-    count = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            count.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return count
+    return count_forks(monkeypatch)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
@@ -111,24 +102,7 @@ def test_serial_path_without_fork(tmp_path, monkeypatch):
 @pytest.fixture
 def pipes(monkeypatch):
     """Record every pipe fd the export opens."""
-    fds = []
-    real_pipe = os.pipe
-
-    def recording_pipe():
-        r, w = real_pipe()
-        fds.extend((r, w))
-        return r, w
-
-    monkeypatch.setattr(os, "pipe", recording_pipe)
-    return fds
-
-
-def assert_no_child_and_no_open_pipe(fds):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    for fd in fds:
-        with pytest.raises(OSError):
-            os.fstat(fd)
+    return record_pipes(monkeypatch)
 
 
 def test_a_failing_worker_raises_oserror_and_leaves_nothing_behind(tmp_path, monkeypatch, forks, pipes):
