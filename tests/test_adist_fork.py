@@ -66,21 +66,20 @@ def test_a_failing_probe_raises_oserror_exits_2_and_leaves_nothing_behind(tmp_pa
 
 def test_an_interrupted_parent_kills_and_reaps_the_probe(tmp_path, monkeypatch, forks, pipes):
     monkeypatch.setattr(A, "_usable_cpus", lambda: 2)
-    parent = os.getpid()
 
     def probe_that_outlives_the_test(f_src, f_tgt, seed):
         time.sleep(60)  # only the kill ends it in time
         return 0.0
 
-    def export_interrupted_in_parent(bundle, sets, path):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
+    def lines_interrupted_in_parent(feats, labels, domain):
+        raise KeyboardInterrupt  # 120-row sets are formatted in the parent
 
     monkeypatch.setattr(A, "proxy_a_distance", probe_that_outlives_the_test)
-    monkeypatch.setattr(A, "export_features", export_interrupted_in_parent)
+    monkeypatch.setattr(A, "_csv_lines", lines_interrupted_in_parent)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_experiment(small_cfg(), 3, tmp_path)
     assert time.monotonic() - start < 30
+    assert (tmp_path / "model.txt").exists()  # interrupted during the export, after the other writes
     assert len(forks) == 1
     assert_no_child_and_no_open_pipe(pipes)
