@@ -93,15 +93,9 @@ def proxy_a_distance(f_src: np.ndarray, f_tgt: np.ndarray, seed: int) -> float:
     optimizer = optim.SgdMomentum([([t for pair in layers for t in pair], 1.0)], _ADIST_MOMENTUM)
 
     x_const = Tensor(x_train)
-    y_const = Tensor(y_train)
-    n = x_train.shape[0]
+    one_minus_y = 1.0 - y_train
     for _ in range(_ADIST_EPOCHS):
-        p = N.forward_sigmoid(layers, spec, x_const)
-        one_minus_y = Tensor(1.0 - y_train)
-        one_minus_p = T.add(T.scale(p, -1.0), Tensor(np.ones(n)))
-        ll = T.add(T.mul(y_const, T.log(p)), T.mul(one_minus_y, T.log(one_minus_p)))
-        loss = T.scale(T.tsum(ll), -1.0 / n)
-        T.backward(loss)
+        T.backward(_probe_loss(N.forward_sigmoid(layers, spec, x_const), y_train, one_minus_y))
         optimizer.step(_ADIST_LR)
 
     def test_error(rows: np.ndarray, label: float) -> np.ndarray:
@@ -111,6 +105,28 @@ def proxy_a_distance(f_src: np.ndarray, f_tgt: np.ndarray, seed: int) -> float:
     with T.no_tape():
         errors = np.concatenate([test_error(src_test, 1.0), test_error(tgt_test, 0.0)])
     return a_distance_from_error(errors.mean())
+
+
+def _probe_loss(p: Tensor, y: np.ndarray, one_minus_y: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy of probabilities p against labels y, with the
+    clamped log, as one node; forward and backward are the arithmetic of
+    ``scale(tsum(add(mul(y, log(p)), mul(1 - y, log(1 - p)))), -1/n)``."""
+    n = p.shape[0]
+    clamped_p = np.maximum(p.data, T.LOG_CLAMP)
+    mask_p = p.data > T.LOG_CLAMP
+    q = p.data * -1.0 + np.ones(n)
+    clamped_q = np.maximum(q, T.LOG_CLAMP)
+    mask_q = q > T.LOG_CLAMP
+    c = float(-1.0 / n)
+    value = (y * np.log(clamped_p) + one_minus_y * np.log(clamped_q)).sum() * c
+
+    def _bw(out):
+        if p.requires_grad:
+            grad = np.broadcast_to(out.grad * c, (n,))
+            grad_q = grad * one_minus_y * mask_q / clamped_q
+            T._accumulate(p, grad * y * mask_p / clamped_p + grad_q * -1.0)
+
+    return T.node(value, (p,), _bw)
 
 
 @dataclass(frozen=True)

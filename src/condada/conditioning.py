@@ -7,6 +7,12 @@ dimension threshold, a randomized surrogate (1/sqrt(d)) (R_f f) .* (R_g g)
 built from fixed unit-variance random matrices approximates those inner
 products without bias. Feature-only / prediction-only / concatenation are the
 ablation baselines.
+
+Each map is one tape node, the randomized one with its optional row
+normalization inside. Forward and backward repeat the numpy expressions of
+the op chains they replace, in the chains' order (the chains are the
+reference implementations in the tests), so the values and gradients are
+those of the chains, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ DEFAULT_DIM_THRESHOLD = 4096
 _UNIFORM_HALF_WIDTH = float(np.sqrt(3.0))
 
 _STREAM_PROJECTION = 12
+
+# Added to each squared row norm before the square root when normalizing.
+_NORM_EPS = 1e-24
 
 
 @dataclass(frozen=True)
@@ -76,8 +85,22 @@ class RandomProjection:
 
 
 def multilinear_map(f: Tensor, g: Tensor) -> Tensor:
-    """Rows f (n, d_f) and g (n, d_g) -> flattened outer products (n, d_f*d_g)."""
-    return T.rowwise_outer(f, g)
+    """Rows f (n, d_f) and g (n, d_g) -> flattened outer products (n, d_f*d_g):
+    out[n, i*d_g + j] = f[n, i] * g[n, j]."""
+    if f.data.ndim != 2 or g.data.ndim != 2 or f.shape[0] != g.shape[0]:
+        raise ValueError(f"multilinear map shape mismatch: {f.shape} vs {g.shape}")
+    n, d_f = f.shape
+    d_g = g.shape[1]
+    out_data = np.einsum("ni,nj->nij", f.data, g.data).reshape(n, d_f * d_g)
+
+    def _bw(out):
+        grad = out.grad.reshape(n, d_f, d_g)
+        if f.requires_grad:
+            T._accumulate(f, np.einsum("nij,nj->ni", grad, g.data))
+        if g.requires_grad:
+            T._accumulate(g, np.einsum("nij,ni->nj", grad, f.data))
+
+    return T.node(out_data, (f, g), _bw)
 
 
 def draw(rng: np.random.Generator, sampler: str, shape: tuple) -> np.ndarray:
@@ -104,19 +127,42 @@ def sample_projection(d: int, d_f: int, d_g: int, sampler: str, seed: int) -> Ra
     return RandomProjection(r_f=Tensor(r_f), r_g=Tensor(r_g), sampler=sampler, seed=int(seed))
 
 
-def randomized_multilinear_map(f: Tensor, g: Tensor, proj: RandomProjection) -> Tensor:
-    """(1/sqrt(d)) (R_f f) .* (R_g g) per row; gradients reach f and g only."""
-    if f.shape[1] != proj.d_f or g.shape[1] != proj.d_g:
-        raise ValueError(
-            f"projection expects rows of widths ({proj.d_f}, {proj.d_g}), got ({f.shape[1]}, {g.shape[1]})"
-        )
-    a = T.matmul(f, _transposed(proj.r_f))
-    b = T.matmul(g, _transposed(proj.r_g))
-    return T.scale(T.mul(a, b), 1.0 / np.sqrt(proj.d))
+def randomized_multilinear_map(f: Tensor, g: Tensor, proj: RandomProjection,
+                               normalize: bool = False) -> Tensor:
+    """(1/sqrt(d)) (R_f f) .* (R_g g) per row; gradients reach f and g only.
 
+    With ``normalize``, each row of f is first divided by its Euclidean norm
+    (``sqrt(|f|^2 + 1e-24)``: the eps keeps a zero row finite). The backward
+    sums f's gradient terms in the order of the reference chain: the term
+    through the division, then the two through the squared norm.
+    """
+    if f.shape[0] != g.shape[0] or f.shape[1] != proj.d_f or g.shape[1] != proj.d_g:
+        raise ValueError(f"projection expects as many rows of f as of g, of widths ({proj.d_f}, {proj.d_g}); "
+                         f"got shapes {f.shape} and {g.shape}")
+    f_rows = f.data
+    if normalize:
+        norm = np.sqrt((f.data * f.data).sum(axis=1) + _NORM_EPS).reshape((f.shape[0], 1))
+        f_rows = f.data / norm
+    a = f_rows @ proj.r_f.data.T
+    b = g.data @ proj.r_g.data.T
+    c = float(1.0 / np.sqrt(proj.d))
 
-def _transposed(t: Tensor) -> Tensor:
-    return Tensor(t.data.T)
+    def _bw(out):
+        grad = out.grad * c
+        if f.requires_grad:
+            grad_f = (grad * b) @ proj.r_f.data
+            if normalize:
+                # Not .sum(axis=1): at width 1 that would turn -0.0 into +0.0.
+                grad_norm = T._unbroadcast(-grad_f * f.data / (norm * norm), norm.shape)
+                grad_sq = grad_norm * 0.5 / np.maximum(norm, T.LOG_CLAMP)
+                grad_f = grad_f / norm
+                grad_f += grad_sq * f.data
+                grad_f += grad_sq * f.data
+            T._accumulate(f, grad_f)
+        if g.requires_grad:
+            T._accumulate(g, (grad * a) @ proj.r_g.data)
+
+    return T.node(a * b * c, (f, g), _bw)
 
 
 def select_strategy(d_f: int, d_g: int, threshold: int = DEFAULT_DIM_THRESHOLD) -> str:
@@ -152,7 +198,5 @@ def condition(f: Tensor, g: Tensor, strategy: ConditioningStrategy,
         return multilinear_map(f, g)
     if proj is None:
         raise ValueError("randomized multilinear conditioning requires a sampled projection")
-    if strategy.normalize_features:
-        f = T.l2_normalize_rows(f)
-    return randomized_multilinear_map(f, g, proj)
+    return randomized_multilinear_map(f, g, proj, strategy.normalize_features)
 

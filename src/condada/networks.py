@@ -118,7 +118,7 @@ def forward_G(bundle: ModelBundle, f: Tensor) -> tuple[Tensor, Tensor]:
 
 def forward_sigmoid(layers: list[tuple[Tensor, Tensor]], spec: MlpSpec, x: Tensor) -> Tensor:
     """Rows -> per-row probability in (0, 1), shape (n,), of a one-unit MLP."""
-    return T.sigmoid(_forward_mlp(layers, spec, x), (x.shape[0],))
+    return T.sigmoid(_forward_mlp(layers, spec, x))
 
 
 def forward_D(bundle: ModelBundle, conditioned: Tensor) -> Tensor:

@@ -8,9 +8,14 @@ reachable node with ``requires_grad``.
 
 A closure receives its node as an argument instead of capturing it, so a
 graph holds no reference cycles: reference counting frees it as soon as the
-last reference to its loss goes. Fused ops (:func:`mlp`, a network pass, and
-:func:`sigmoid` with an output shape) record one node where a chain would be,
-computing the same numpy expressions in the same order, bit for bit. Inside
+last reference to its loss goes.
+
+This module holds only the ops the package calls. Fused ops (:func:`mlp`, a
+network pass; the one-unit :func:`sigmoid` head; and the nodes that
+``conditioning``, ``objectives`` and ``analysis`` build with :func:`node`)
+record one node where a chain of elementary ops (matmul, mul, log, ...)
+would be, computing the chain's numpy expressions in its order, bit for bit;
+the elementary ops live with the tests, as the reference chains. Inside
 ``with no_tape():`` ops compute values only and record nothing; evaluation
 forwards run that way.
 
@@ -59,12 +64,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -149,23 +148,7 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# primitive ops
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-
-    def _bw(out):
-        g = out.grad
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    return node(out_data, (a, b), _bw)
+# ops
 
 
 def mlp(x: Tensor, layers) -> Tensor:
@@ -203,8 +186,7 @@ def mlp(x: Tensor, layers) -> Tensor:
     return node(h, (x,) + tuple(t for pair in layers for t in pair), _bw)
 
 
-def add(a: Tensor, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def _bw(out):
@@ -217,84 +199,16 @@ def add(a: Tensor, b) -> Tensor:
     return node(out_data, (a, b), _bw)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data * b.data
-
-    def _bw(out):
-        g = out.grad
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return node(out_data, (a, b), _bw)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data / b.data
-
-    def _bw(out):
-        g = out.grad
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return node(out_data, (a, b), _bw)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
-    c = float(c)
-    out_data = a.data * c
-
-    def _bw(out):
-        if a.requires_grad:
-            _accumulate(a, out.grad * c)
-
-    return node(out_data, (a,), _bw)
-
-
-def log(a: Tensor) -> Tensor:
-    """Natural log with the argument clamped to >= LOG_CLAMP.
-
-    Below the clamp the function is constant, so the derivative there is zero.
-    """
-    a = _as_tensor(a)
-    clamped = np.maximum(a.data, LOG_CLAMP)
-    out_data = np.log(clamped)
-    mask = a.data > LOG_CLAMP
-
-    def _bw(out):
-        if a.requires_grad:
-            _accumulate(a, out.grad * mask / clamped)
-
-    return node(out_data, (a,), _bw)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def _bw(out):
-        if a.requires_grad:
-            _accumulate(a, out.grad * 0.5 / np.maximum(out_data, LOG_CLAMP))
-
-    return node(out_data, (a,), _bw)
-
-
-def sigmoid(a: Tensor, shape: Optional[tuple] = None) -> Tensor:
-    """Numerically stable sigmoid, output clamped into (0, 1).
+def sigmoid(a: Tensor) -> Tensor:
+    """The sigmoid head of a one-unit network: (n, 1) logits to (n,)
+    probabilities, numerically stable and clamped into (0, 1).
 
     The clamp mirrors the log clamp: a saturated discriminator emits
     probabilities at distance LOG_CLAMP from {0, 1} rather than exactly on them.
-    With ``shape``, the output is also reshaped, in the same node: the sigmoid
-    head of a one-unit network maps (n, 1) logits to (n,) probabilities.
     """
-    a = _as_tensor(a)
     x = a.data
+    if x.ndim != 2 or x.shape[1] != 1:
+        raise ValueError(f"sigmoid head expects (n, 1) logits, got shape {a.shape}")
     e = np.exp(-np.abs(x))
     out_data = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     out_data = np.clip(out_data, LOG_CLAMP, 1.0 - LOG_CLAMP)
@@ -303,12 +217,11 @@ def sigmoid(a: Tensor, shape: Optional[tuple] = None) -> Tensor:
         if a.requires_grad:
             _accumulate(a, out.grad.reshape(a.shape) * out_data * (1.0 - out_data))
 
-    return node(out_data if shape is None else out_data.reshape(shape), (a,), _bw)
+    return node(out_data.reshape(x.shape[0]), (a,), _bw)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis with max-subtraction for stability."""
-    a = _as_tensor(a)
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
@@ -323,7 +236,6 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != b.data.ndim:
         raise ValueError(f"concat rank mismatch: {a.shape} vs {b.shape}")
     out_data = np.concatenate([a.data, b.data], axis=axis)
@@ -340,34 +252,8 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     return node(out_data, (a, b), _bw)
 
 
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    a = _as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def _bw(out):
-        if a.requires_grad:
-            _accumulate(a, out.grad.reshape(a.shape).copy())
-
-    return node(out_data, (a,), _bw)
-
-
-def tsum(a: Tensor, axis: Optional[int] = None) -> Tensor:
-    a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis)
-
-    def _bw(out):
-        if a.requires_grad:
-            g = out.grad
-            if axis is not None:
-                g = np.expand_dims(g, axis=axis)
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-
-    return node(np.asarray(out_data), (a,), _bw)
-
-
 def gradient_reversal(a: Tensor, coeff: float) -> Tensor:
     """Identity in the forward pass; backward multiplies the upstream gradient by -coeff."""
-    a = _as_tensor(a)
     coeff = float(coeff)
     if coeff < 0.0:
         raise ValueError(f"gradient reversal coefficient must be nonnegative, got {coeff}")
@@ -377,31 +263,3 @@ def gradient_reversal(a: Tensor, coeff: float) -> Tensor:
             _accumulate(a, out.grad * -coeff)
 
     return node(a.data, (a,), _bw)
-
-
-def rowwise_outer(a: Tensor, b: Tensor) -> Tensor:
-    """Per-row flattened outer product: out[n, i*db + j] = a[n, i] * b[n, j]."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ValueError(f"rowwise_outer shape mismatch: {a.shape} vs {b.shape}")
-    n, da = a.shape
-    db = b.shape[1]
-    out_data = np.einsum("ni,nj->nij", a.data, b.data).reshape(n, da * db)
-
-    def _bw(out):
-        g = out.grad.reshape(n, da, db)
-        if a.requires_grad:
-            _accumulate(a, np.einsum("nij,nj->ni", g, b.data))
-        if b.requires_grad:
-            _accumulate(b, np.einsum("nij,ni->nj", g, a.data))
-
-    return node(out_data, (a, b), _bw)
-
-
-def l2_normalize_rows(a: Tensor, eps: float = 1e-24) -> Tensor:
-    """Divide each row by its Euclidean norm (eps keeps zero rows finite)."""
-    sq = tsum(mul(a, a), axis=-1 if a.data.ndim == 1 else 1)
-    norm = sqrt(add(sq, Tensor(np.full(sq.shape, eps))))
-    if a.data.ndim == 2:
-        norm = reshape(norm, (a.shape[0], 1))
-    return div(a, norm)

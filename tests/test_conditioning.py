@@ -9,6 +9,8 @@ from condada import serialize
 from condada import tensor as T
 from condada.tensor import Tensor
 
+import helpers as H
+
 
 def row(v):
     return Tensor(np.asarray(v, dtype=np.float64).reshape(1, -1))
@@ -105,13 +107,15 @@ def test_randomized_map_dimension_mismatch():
     proj = C.sample_projection(32, 6, 3, "gaussian", seed=1)
     with pytest.raises(ValueError, match="widths"):
         C.randomized_multilinear_map(row(np.zeros(5)), row(np.zeros(3)), proj)
+    with pytest.raises(ValueError, match="rows"):
+        C.randomized_multilinear_map(Tensor(np.zeros((2, 6))), row(np.zeros(3)), proj)
 
 
 def test_projection_matrices_receive_no_gradient():
     proj = C.sample_projection(16, 4, 3, "gaussian", seed=4)
     f = Tensor(np.random.default_rng(0).standard_normal((2, 4)), requires_grad=True)
     g = Tensor(np.random.default_rng(1).standard_normal((2, 3)), requires_grad=True)
-    T.backward(T.tsum(C.randomized_multilinear_map(f, g, proj)))
+    T.backward(H.tsum(C.randomized_multilinear_map(f, g, proj)))
     assert f.grad is not None and g.grad is not None
     assert proj.r_f.grad is None and proj.r_g.grad is None
 

@@ -1,6 +1,7 @@
 """Feature export on forked row slices: the same bytes as the serial loop."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -123,19 +124,21 @@ def test_a_failing_worker_raises_oserror_and_leaves_nothing_behind(tmp_path, mon
 
 
 def test_an_interrupted_parent_kills_and_reaps_its_workers(tmp_path, monkeypatch, forks, pipes):
-    # The children's slices exceed a pipe buffer, so they are still blocked
-    # writing when the parent is interrupted.
+    # The workers sleep instead of writing, so no broken pipe ends them: only
+    # the kill does, in time.
     monkeypatch.setattr(A, "_usable_cpus", lambda: 3)
     parent = os.getpid()
-    real_lines = A._csv_lines
 
     def lines_interrupted_in_parent(feats, labels, domain):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return real_lines(feats, labels, domain)
+        time.sleep(60)
+        return []
 
     monkeypatch.setattr(A, "_csv_lines", lines_interrupted_in_parent)
+    start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        A.export_features(make_bundle(d_f=16), make_sets((3000,)), tmp_path / "f.csv")
+        A.export_features(make_bundle(), make_sets((30,)), tmp_path / "f.csv")
+    assert time.monotonic() - start < 30
     assert len(forks) == 2
     assert_no_child_and_no_open_pipe(pipes)

@@ -36,7 +36,7 @@ def run_both(fused, chain, inputs, aux_seed=0):
             loss = out
         else:
             aux = np.random.default_rng(aux_seed).standard_normal(out.shape)
-            loss = T.tsum(T.mul(out, Tensor(aux)))
+            loss = H.tsum(H.mul(out, Tensor(aux)))
         T.backward(loss)
         outs.append(out.data)
         grads.append([leaf.grad for leaf in leaves])
@@ -58,7 +58,7 @@ def mlp_chain(x, *params):
     layers = layer_pairs(params)
     h = x
     for i, (w, b) in enumerate(layers):
-        h = T.add(T.matmul(h, w), b)
+        h = T.add(H.matmul(h, w), b)
         if i < len(layers) - 1:
             h = H.relu(h)
     return h
@@ -159,12 +159,87 @@ def test_mlp_passes_a_non_finite_preactivation_on(bad):
 ])
 def test_sigmoid_head_matches_sigmoid_then_reshape(z):
     n = z.shape[0]
-    run_both(lambda t: T.sigmoid(t, (n,)), lambda t: T.reshape(T.sigmoid(t), (n,)), [z])
+    run_both(T.sigmoid, lambda t: H.reshape(H.sigmoid(t), (n,)), [z])
 
 
 def test_saturated_sigmoid_head_sits_on_the_clamp():
-    p = T.sigmoid(Tensor(np.array([[-1e3], [1e3]])), (2,)).data
+    p = T.sigmoid(Tensor(np.array([[-1e3], [1e3]]))).data
     np.testing.assert_array_equal(p, [T.LOG_CLAMP, 1.0 - T.LOG_CLAMP])
+
+
+# --- conditioning maps -------------------------------------------------------
+
+
+def randomized_chain(f, g, proj, normalize=False):
+    """The op chain that one ``C.randomized_multilinear_map`` node replaces."""
+    if normalize:
+        f = H.l2_normalize_rows(f)
+    a = H.matmul(f, Tensor(proj.r_f.data.T))
+    b = H.matmul(g, Tensor(proj.r_g.data.T))
+    return H.scale(H.mul(a, b), 1.0 / np.sqrt(proj.d))
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+@pytest.mark.parametrize("sampler", C.SAMPLERS)
+@pytest.mark.parametrize("case", ["rows", "one_row", "zero_row", "one_feature"])
+def test_randomized_map_matches_its_op_chain(case, sampler, normalize):
+    rng = np.random.default_rng([len(case), len(sampler)])
+    n = 1 if case == "one_row" else 7
+    d_f = 1 if case == "one_feature" else 5
+    f = rng.standard_normal((n, d_f))
+    g = rng.dirichlet(np.ones(3), size=n)
+    if case in ("zero_row", "one_feature"):
+        f[2] = 0.0  # the norm is sqrt(eps): the eps path
+    proj = C.sample_projection(8, d_f, 3, sampler, seed=3)
+    run_both(lambda f, g: C.randomized_multilinear_map(f, g, proj, normalize),
+             lambda f, g: randomized_chain(f, g, proj, normalize), [f, g])
+
+
+def randomized_step(sampler, normalize, d=8):
+    rng = np.random.default_rng(5)
+    bundle = N.init_model(N.MlpSpec((2, 6, 5)), N.MlpSpec((5, 3)), N.MlpSpec((d, 6, 1)), seed=1)
+    strategy = C.ConditioningStrategy(C.RANDOMIZED_MULTILINEAR, d=d, sampler=sampler, normalize_features=normalize)
+    out = O.cdan_step_losses(rng.standard_normal((8, 2)), rng.integers(0, 3, 8), rng.standard_normal((8, 2)) + 1.0,
+                             bundle, strategy, C.sample_projection(d, 5, 3, sampler, seed=2),
+                             lambda_eff=0.5, entropy_weighting=True)
+    return bundle, out.objective
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+@pytest.mark.parametrize("sampler", C.SAMPLERS)
+def test_randomized_step_matches_the_chain_step(monkeypatch, sampler, normalize):
+    # Here f also feeds G, so the order in which f's gradient terms are
+    # summed matters: the node's terms must come first, in the chain's order.
+    grads = []
+    for chain in (False, True):
+        if chain:
+            monkeypatch.setattr(C, "randomized_multilinear_map", randomized_chain)
+        bundle, objective = randomized_step(sampler, normalize)
+        T.backward(objective)
+        grads.append([p.grad for p in bundle.all_params()])
+    for g_fused, g_chain in zip(*grads):
+        assert_same(g_fused, g_chain)
+
+
+def recorded_nodes(root):
+    count, seen, stack = 0, set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            count += t._backward is not None
+            stack.extend(t._parents)
+    return count
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+def test_randomized_cdan_e_step_records_17_nodes(normalize):
+    assert recorded_nodes(randomized_step("gaussian", normalize)[1]) == 17
+
+
+def test_multilinear_map_shape_error_names_both_shapes():
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 2\)"):
+        C.multilinear_map(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
 # --- loss heads --------------------------------------------------------------
@@ -172,8 +247,8 @@ def test_saturated_sigmoid_head_sits_on_the_clamp():
 
 def cross_entropy_chain(g_probs, labels):
     hot = Tensor(O.one_hot(labels, g_probs.shape[1]))
-    picked = T.tsum(T.mul(T.log(g_probs), hot), axis=1)
-    return T.scale(T.tsum(picked), -1.0 / g_probs.shape[0])
+    picked = H.tsum(H.mul(H.log(g_probs), hot), axis=1)
+    return H.scale(H.tsum(picked), -1.0 / g_probs.shape[0])
 
 
 @pytest.mark.parametrize("probs,labels", [
@@ -188,13 +263,13 @@ def test_cross_entropy_matches_its_op_chain(probs, labels):
 def weighted_mean_chain(values, weights):
     if weights is None:
         return H.tmean(values)
-    return T.div(T.tsum(T.mul(values, weights)), T.tsum(weights))
+    return H.div(H.tsum(H.mul(values, weights)), H.tsum(weights))
 
 
 def adversarial_chain(d_src, d_tgt, w_src, w_tgt):
-    loss_src = weighted_mean_chain(T.scale(T.log(d_src), -1.0), w_src)
-    one_minus = T.add(T.scale(d_tgt, -1.0), Tensor(np.ones(d_tgt.shape)))
-    loss_tgt = weighted_mean_chain(T.scale(T.log(one_minus), -1.0), w_tgt)
+    loss_src = weighted_mean_chain(H.scale(H.log(d_src), -1.0), w_src)
+    one_minus = T.add(H.scale(d_tgt, -1.0), Tensor(np.ones(d_tgt.shape)))
+    loss_tgt = weighted_mean_chain(H.scale(H.log(one_minus), -1.0), w_tgt)
     return T.add(loss_src, loss_tgt)
 
 
@@ -218,11 +293,30 @@ def test_entropy_weights_match_their_op_chain():
     g = rng.dirichlet(np.full(4, 0.3), size=12)
     g[0] = [1.0, 0.0, 0.0, 0.0]
     g[1, :2] = [1e-14, 1.0 - 1e-14 - g[1, 2:].sum()]
-    h_chain = T.scale(T.tsum(T.mul(Tensor(g), T.log(Tensor(g))), axis=1), -1.0)
-    w_chain = T.add(H.exp(T.scale(h_chain, -1.0)), Tensor(np.ones(h_chain.shape)))
+    h_chain = H.scale(H.tsum(H.mul(Tensor(g), H.log(Tensor(g))), axis=1), -1.0)
+    w_chain = T.add(H.exp(H.scale(h_chain, -1.0)), Tensor(np.ones(h_chain.shape)))
     h = O.entropy(Tensor(g))
     assert_same(h.data, h_chain.data)
     assert_same(O.entropy_weight(h).data, w_chain.data)
+
+
+def probe_loss_chain(p, y):
+    """The op chain that one ``A._probe_loss`` node replaces."""
+    n = p.shape[0]
+    one_minus_p = T.add(H.scale(p, -1.0), Tensor(np.ones(n)))
+    ll = T.add(H.mul(Tensor(y), H.log(p)), H.mul(Tensor(1.0 - y), H.log(one_minus_p)))
+    return H.scale(H.tsum(ll), -1.0 / n)
+
+
+@pytest.mark.parametrize("case", ["interior", "clamped", "one_row"])
+def test_probe_loss_matches_its_op_chain(case):
+    rng = np.random.default_rng(len(case))
+    n = 1 if case == "one_row" else 10
+    p = rng.uniform(0.05, 0.95, n)
+    y = (np.arange(n) % 2).astype(np.float64)
+    if case == "clamped":
+        p[:4] = [T.LOG_CLAMP, T.LOG_CLAMP, 1.0 - T.LOG_CLAMP, 1.0 - T.LOG_CLAMP]  # y = 0, 1, 0, 1
+    run_both(lambda p: A._probe_loss(p, y, 1.0 - y), lambda p: probe_loss_chain(p, y), [p])
 
 
 # --- tape memory behaviour -----------------------------------------------------
@@ -288,10 +382,10 @@ def test_a_shared_node_takes_part_in_every_backward():
     w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
     layers = [(w, Tensor(np.zeros(2))), (Tensor(np.eye(2)), Tensor(np.zeros(2)))]
     h = T.mlp(Tensor(np.array([[1.0, 2.0]])), layers)
-    T.backward(T.tsum(h))
+    T.backward(H.tsum(h))
     first = w.grad.copy()
     w.grad = None
-    T.backward(T.scale(T.tsum(h), 2.0))
+    T.backward(H.scale(H.tsum(h), 2.0))
     np.testing.assert_array_equal(w.grad, 2.0 * first)
 
 
