@@ -147,8 +147,11 @@ class Theorem1Result:
         return abs(self.mc_mean - self.exact) < k * self.standard_error
 
 
+MIN_RESAMPLES = 1000
 _RESAMPLE_CHUNK = 512
 _STREAM_RESAMPLE = 40
+# Float64s a worker draws at once, at most: 2 MiB, sized to stay in cache.
+_PIECE_ELEMS = 1 << 18
 
 
 def _usable_cpus() -> int:
@@ -167,14 +170,14 @@ def theorem1_verify(f: np.ndarray, g: np.ndarray, f2: np.ndarray, g2: np.ndarray
     stream derived from (seed, chunk index). The chunks run in parallel on a
     thread pool with one worker per usable CPU (at most one per chunk); the
     numpy draws, matrix-vector products and elementwise ops release the GIL.
-    Each worker draws its chunk in sequential pieces of ceil(chunk / workers)
-    resamples, so the draws in flight across all workers stay about one
-    chunk in size. A generator's stream does not depend on how its draws are
-    split, so the estimate vector is a pure function of the master seed and
-    the result is identical, bit for bit, for any CPU count.
+    Each worker draws its chunk in pieces of ceil(chunk / workers) resamples
+    but at most _PIECE_ELEMS float64s (at least one resample), so the draws in
+    flight stay about workers x 2 MiB for any widths. A stream does not depend
+    on how its draws are split, and each resample's estimate is its own row,
+    so the result is a pure function of the seed, bit for bit, for any CPU count.
     """
-    if n_resamples < 1000:
-        raise ValueError(f"n_resamples must be >= 1000, got {n_resamples}")
+    if n_resamples < MIN_RESAMPLES:
+        raise ValueError(f"n_resamples must be >= {MIN_RESAMPLES}, got {n_resamples}")
     if sampler not in C.SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}, expected one of {C.SAMPLERS}")
     if d < 1:
@@ -190,7 +193,7 @@ def theorem1_verify(f: np.ndarray, g: np.ndarray, f2: np.ndarray, g2: np.ndarray
     estimates = np.empty(n_resamples)
     n_chunks = -(-n_resamples // _RESAMPLE_CHUNK)
     workers = min(_usable_cpus(), n_chunks)
-    piece = -(-_RESAMPLE_CHUNK // workers)
+    piece = max(1, min(-(-_RESAMPLE_CHUNK // workers), _PIECE_ELEMS // (d * (df + dg))))
 
     def estimate(rng: np.random.Generator, k: int) -> np.ndarray:
         block = C.draw(rng, sampler, (k, d, df + dg))

@@ -14,6 +14,7 @@ import os
 import sys
 
 from . import analysis as A
+from . import conditioning as C
 from . import networks as N
 from .config import KEYS, ExperimentConfig, load_config
 from .errors import ConfigError, NumericAbort
@@ -60,13 +61,21 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify_theorem1(args) -> int:
-    d_list = [int(d) for d in args.dims.split(",")]
+    dims = [d.strip() for d in args.dims.split(",")]
+    if not all(d.isdecimal() and int(d) >= 1 for d in dims):
+        raise ConfigError(f"--dims: expected a comma list of integers >= 1, got {args.dims!r}")
+    d_list = [int(d) for d in dims]
     samplers = [s.strip() for s in args.samplers.split(",")]
+    if not set(samplers) <= set(C.SAMPLERS):
+        raise ConfigError(f"--samplers: expected a comma list from {C.SAMPLERS}, got {args.samplers!r}")
+    for flag, value, low in (("--resamples", args.resamples, A.MIN_RESAMPLES), ("--df", args.df, 1), ("--dg", args.dg, 1)):
+        if value < low:
+            raise ConfigError(f"{flag}: must be >= {low}, got {value}")
     results, ok = verify_theorem1(d_list, args.resamples, samplers, args.seed,
                                   d_f=args.df, d_g=args.dg)
     print(f"{'sampler':>9} {'d':>6} {'exact':>12} {'mc_mean':>12} {'|err|/SE':>9} {'mc_var':>12} gate")
     for r in results:
-        gate = "PASS" if r.unbiased_within(3.0) else "FAIL"
+        gate = "PASS" if r.unbiased_within() else "FAIL"
         print(f"{r.sampler:>9} {r.d:>6} {r.exact:>12.6f} {r.mc_mean:>12.6f} "
               f"{r.err_in_se:>9.3f} {r.mc_var:>12.6e} {gate}")
     if not ok:

@@ -245,6 +245,6 @@ def verify_theorem1(d_list: list[int], n_resamples: int, samplers: list[str], se
         for d in d_list:
             res = A.theorem1_verify(f, g, f2, g2, d=d, n_resamples=n_resamples,
                                     sampler=sampler, seed=seed)
-            ok = ok and res.unbiased_within(3.0)
+            ok = ok and res.unbiased_within()
             results.append(res)
     return results, ok

@@ -133,6 +133,22 @@ def test_verify_theorem1_zero_width_is_argument_error(flags, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--samplers", "gaussian,nope"), ("--dims", "abc"), ("--dims", "64,,128"), ("--dims", "64,0"),
+    ("--resamples", "999"), ("--df", "0"),
+])
+def test_verify_theorem1_bad_flag_is_named_before_any_draw(monkeypatch, capsys, flag, value):
+    def no_draw(rng, sampler, shape):
+        raise AssertionError("a projection was drawn")
+
+    monkeypatch.setattr("condada.conditioning.draw", no_draw)
+    assert main(["verify-theorem1", "--resamples", "1000", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {flag}: ") and len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_verify_theorem1_gate_failure_exit_code(monkeypatch, capsys):
     from condada.analysis import Theorem1Result
 

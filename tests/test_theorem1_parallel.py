@@ -64,8 +64,8 @@ def test_matches_the_serial_loop(sampler, d, df, dg, n_resamples):
     assert got == want
 
 
-def expected_pieces(n_resamples, workers):
-    piece = -(-CHUNK // workers)
+def expected_pieces(n_resamples, workers, d, width):
+    piece = max(1, min(-(-CHUNK // workers), A._PIECE_ELEMS // (d * width)))
     sizes = []
     for start in range(0, n_resamples, CHUNK):
         k = min(CHUNK, n_resamples - start)
@@ -75,36 +75,51 @@ def expected_pieces(n_resamples, workers):
 
 @pytest.mark.parametrize("sampler", C.SAMPLERS)
 def test_more_workers_than_cores_lose_and_double_no_slice(monkeypatch, sampler):
-    # 1, 3 and 8 workers draw pieces of 512, 171 and 64 resamples; the last
+    # At d = 32, 1, 3 and 8 workers draw pieces of 341 (the byte budget), 171
+    # and 64 resamples; at d = 256 the budget sets 42 for all three. The last
     # chunk (392 resamples) ends in a short piece for each of them.
     f, g, f2, g2 = quadruple(16, 8)
-    want = serial_reference(f, g, f2, g2, 32, 5000, sampler, seed=3)
     lock = threading.Lock()
-    pieces = []
-    real_draw = C.draw
+    shapes = []
 
-    def recording_draw(rng, sampler_, shape):
-        with lock:
-            pieces.append(shape[0])
-        return real_draw(rng, sampler_, shape)
+    def recording(draw):
+        def recording_draw(rng, sampler_, shape):
+            with lock:
+                shapes.append(shape)
+            return draw(rng, sampler_, shape)
+        return recording_draw
 
-    monkeypatch.setattr(C, "draw", recording_draw)
+    def verify(workers, *quad, d, n_resamples):
+        monkeypatch.setattr(A, "_usable_cpus", lambda: workers)
+        shapes.clear()
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.append(
+                A.theorem1_verify(*quad, d=d, n_resamples=n_resamples, sampler=sampler, seed=3)),
+            daemon=True)
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive(), f"verifier with {workers} workers at d = {d} did not finish in 120 s"
+        return results
+
     saved_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
+        monkeypatch.setattr(C, "draw", recording(C.draw))
+        for d in (32, 256):
+            want = serial_reference(f, g, f2, g2, d, 5000, sampler, seed=3)
+            for workers in (1, 3, 8):
+                assert verify(workers, f, g, f2, g2, d=d, n_resamples=5000) == [want]
+                assert sorted(shape[0] for shape in shapes) == expected_pieces(5000, workers, d, 16 + 8)
+
+        # One resample of d = 1024 over widths 256 + 31 is more than the
+        # budget, so each piece is one resample. Zeros keep the case fast.
+        monkeypatch.setattr(C, "draw", recording(lambda rng, sampler_, shape: np.zeros(shape)))
         for workers in (1, 3, 8):
-            monkeypatch.setattr(A, "_usable_cpus", lambda w=workers: w)
-            pieces.clear()
-            results = []
-            caller = threading.Thread(
-                target=lambda: results.append(
-                    A.theorem1_verify(f, g, f2, g2, d=32, n_resamples=5000, sampler=sampler, seed=3)),
-                daemon=True)
-            caller.start()
-            caller.join(timeout=120)
-            assert not caller.is_alive(), f"verifier with {workers} workers did not finish in 120 s"
-            assert results == [want]
-            assert sorted(pieces) == expected_pieces(5000, workers)
+            assert len(verify(workers, *quadruple(256, 31), d=1024, n_resamples=1000)) == 1
+            assert sum(shape[0] for shape in shapes) == 1000
+            assert all(shape[1:] == (1024, 287) for shape in shapes)
+            assert all(np.prod(shape) <= A._PIECE_ELEMS or shape[0] == 1 for shape in shapes)
     finally:
         sys.setswitchinterval(saved_interval)
 
