@@ -87,19 +87,19 @@ def proxy_a_distance(f_src: np.ndarray, f_tgt: np.ndarray, seed: int) -> float:
     x_train = np.vstack([src_train, tgt_train])
     y_train = np.concatenate([np.ones(src_train.shape[0]), np.zeros(tgt_train.shape[0])])
 
-    spec = N.MlpSpec((x_train.shape[1], _ADIST_HIDDEN, 1))
-    layers = N.init_layers(spec, np.random.default_rng([seed, _STREAM_ADIST_INIT]))
+    layers = N.init_layers(N.MlpSpec((x_train.shape[1], _ADIST_HIDDEN, 1)),
+                           np.random.default_rng([seed, _STREAM_ADIST_INIT]))
     layers[-1][0].data[...] = 0.0  # drawn, then zeroed: the hidden layer keeps the stream's first draws
     optimizer = optim.SgdMomentum([([t for pair in layers for t in pair], 1.0)], _ADIST_MOMENTUM)
 
     x_const = Tensor(x_train)
     one_minus_y = 1.0 - y_train
     for _ in range(_ADIST_EPOCHS):
-        T.backward(_probe_loss(N.forward_sigmoid(layers, spec, x_const), y_train, one_minus_y))
+        T.backward(_probe_loss(N.forward_sigmoid(layers, x_const), y_train, one_minus_y))
         optimizer.step(_ADIST_LR)
 
     def test_error(rows: np.ndarray, label: float) -> np.ndarray:
-        p = N.forward_sigmoid(layers, spec, Tensor(rows)).data
+        p = N.forward_sigmoid(layers, Tensor(rows)).data
         return (p > 0.5).astype(np.float64) != label
 
     with T.no_tape():
@@ -112,19 +112,15 @@ def _probe_loss(p: Tensor, y: np.ndarray, one_minus_y: np.ndarray) -> Tensor:
     clamped log, as one node; forward and backward are the arithmetic of
     ``scale(tsum(add(mul(y, log(p)), mul(1 - y, log(1 - p)))), -1/n)``."""
     n = p.shape[0]
-    clamped_p = np.maximum(p.data, T.LOG_CLAMP)
-    mask_p = p.data > T.LOG_CLAMP
-    q = p.data * -1.0 + np.ones(n)
-    clamped_q = np.maximum(q, T.LOG_CLAMP)
-    mask_q = q > T.LOG_CLAMP
+    log_p, dlog_p = T.clamped_log(p.data)
+    log_q, dlog_q = T.clamped_log(p.data * -1.0 + np.ones(n))
     c = float(-1.0 / n)
-    value = (y * np.log(clamped_p) + one_minus_y * np.log(clamped_q)).sum() * c
+    value = (y * log_p + one_minus_y * log_q).sum() * c
 
     def _bw(out):
         if p.requires_grad:
             grad = np.broadcast_to(out.grad * c, (n,))
-            grad_q = grad * one_minus_y * mask_q / clamped_q
-            T._accumulate(p, grad * y * mask_p / clamped_p + grad_q * -1.0)
+            T._accumulate(p, dlog_p(grad * y) + dlog_q(grad * one_minus_y) * -1.0)
 
     return T.node(value, (p,), _bw)
 
@@ -170,11 +166,11 @@ def theorem1_verify(f: np.ndarray, g: np.ndarray, f2: np.ndarray, g2: np.ndarray
     stream derived from (seed, chunk index). The chunks run in parallel on a
     thread pool with one worker per usable CPU (at most one per chunk); the
     numpy draws, matrix-vector products and elementwise ops release the GIL.
-    Each worker draws its chunk in pieces of ceil(chunk / workers) resamples
-    but at most _PIECE_ELEMS float64s (at least one resample), so the draws in
-    flight stay about workers x 2 MiB for any widths. A stream does not depend
-    on how its draws are split, and each resample's estimate is its own row,
-    so the result is a pure function of the seed, bit for bit, for any CPU count.
+    Each worker draws its chunk in pieces of at most _PIECE_ELEMS float64s
+    (at least one resample), so the draws in flight stay about workers x 2 MiB
+    for any widths. A stream does not depend on how its draws are split, and
+    each resample's estimate is its own row, so the result is a pure function
+    of the seed, bit for bit, for any CPU count.
     """
     if n_resamples < MIN_RESAMPLES:
         raise ValueError(f"n_resamples must be >= {MIN_RESAMPLES}, got {n_resamples}")
@@ -193,7 +189,7 @@ def theorem1_verify(f: np.ndarray, g: np.ndarray, f2: np.ndarray, g2: np.ndarray
     estimates = np.empty(n_resamples)
     n_chunks = -(-n_resamples // _RESAMPLE_CHUNK)
     workers = min(_usable_cpus(), n_chunks)
-    piece = max(1, min(-(-_RESAMPLE_CHUNK // workers), _PIECE_ELEMS // (d * (df + dg))))
+    piece = max(1, _PIECE_ELEMS // (d * (df + dg)))
 
     def estimate(rng: np.random.Generator, k: int) -> np.ndarray:
         block = C.draw(rng, sampler, (k, d, df + dg))
@@ -257,7 +253,7 @@ def entropy_correctness_report(g_probs_tgt: np.ndarray, labels_tgt: np.ndarray) 
 MIN_ROWS_PER_WORKER = 2048
 
 
-def export_features(bundle: N.ModelBundle, sets, path) -> None:
+def export_features(bundle: N.ModelBundle, sets: list[LabeledSet], path) -> None:
     """Write one CSV row per example: feature coordinates (floats by repr),
     label, domain.
 
@@ -271,8 +267,6 @@ def export_features(bundle: N.ModelBundle, sets, path) -> None:
     identical, byte for byte, for any number of workers. A worker that fails
     raises OSError.
     """
-    if isinstance(sets, LabeledSet):
-        sets = [sets]
     header = ",".join(f"f{i}" for i in range(bundle.d_f)) + ",label,domain\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))

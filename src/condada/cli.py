@@ -18,7 +18,7 @@ from . import conditioning as C
 from . import networks as N
 from .config import KEYS, ExperimentConfig, load_config
 from .errors import ConfigError, NumericAbort
-from .runner import compare, run_experiment, verify_theorem1
+from .runner import VARIANTS, compare, run_experiment, verify_theorem1
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -26,11 +26,10 @@ EXIT_NUMERIC = 3
 EXIT_GATE = 4
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, skip: tuple[str, ...] = ()) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     for key in KEYS:
-        if key not in skip:
-            parser.add_argument(f"--{key}", dest=f"cfgkey::{key}", metavar="VALUE", help=argparse.SUPPRESS)
+        parser.add_argument(f"--{key}", dest=f"cfgkey::{key}", metavar="VALUE", help=argparse.SUPPRESS)
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -51,8 +50,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = _resolve_config(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(cfg.seeds)
-    rows = compare(cfg, variants, seeds, args.out)
+    rows = compare(cfg, variants, list(cfg.seeds), args.out)
     for variant in variants:
         accs = [r.acc_tgt for r in rows if r.variant == variant]
         print(f"{variant}: mean acc_tgt = {sum(accs) / len(accs):.4f} over {len(accs)} seed(s)")
@@ -112,10 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run several method variants over several seeds")
-    _add_config_flags(p_cmp, skip=("seeds",))
+    _add_config_flags(p_cmp)  # its --seeds is the seeds key's flag
     p_cmp.add_argument("--variants", required=True,
-                       help="comma list from: source_only,dann,dann_g,dann_fg,cdan,cdan_e (optional @gaussian/@uniform)")
-    p_cmp.add_argument("--seeds", help="comma list of seeds (default: config seeds)")
+                       help=f"comma list from: {','.join(VARIANTS)} (optional @gaussian/@uniform)")
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=_cmd_compare)
 
@@ -143,6 +140,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -189,10 +189,6 @@ def _apply(cfg: ExperimentConfig, pairs: dict[str, str], origin: str) -> Experim
     return cfg
 
 
-def config_from_pairs(pairs: dict[str, str]) -> ExperimentConfig:
-    return _apply(ExperimentConfig(), pairs, "<config>").validate()
-
-
 def load_config(path=None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """The config file at ``path`` (if any), then ``overrides`` (the CLI flags'
     values by key) on top. An error names the file or the flag it came from."""

@@ -99,31 +99,25 @@ def init_model(spec_f: MlpSpec, spec_g: MlpSpec, spec_d: MlpSpec, seed: int) -> 
     )
 
 
-def _forward_mlp(layers: list[tuple[Tensor, Tensor]], spec: MlpSpec, x: Tensor) -> Tensor:
-    if x.data.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(f"expected batch of shape (n, {spec.input_dim}), got {x.shape}")
-    return T.mlp(x, layers)
-
-
 def forward_F(bundle: ModelBundle, x: Tensor) -> Tensor:
     """Batch of inputs -> batch of feature rows."""
-    return _forward_mlp(bundle.layers_f, bundle.spec_f, x)
+    return T.mlp(x, bundle.layers_f)
 
 
 def forward_G(bundle: ModelBundle, f: Tensor) -> tuple[Tensor, Tensor]:
     """Feature rows -> (logits, softmax probability rows)."""
-    logits = _forward_mlp(bundle.layers_g, bundle.spec_g, f)
+    logits = T.mlp(f, bundle.layers_g)
     return logits, T.softmax_rows(logits)
 
 
-def forward_sigmoid(layers: list[tuple[Tensor, Tensor]], spec: MlpSpec, x: Tensor) -> Tensor:
+def forward_sigmoid(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
     """Rows -> per-row probability in (0, 1), shape (n,), of a one-unit MLP."""
-    return T.sigmoid(_forward_mlp(layers, spec, x))
+    return T.sigmoid(T.mlp(x, layers))
 
 
 def forward_D(bundle: ModelBundle, conditioned: Tensor) -> Tensor:
     """Conditioned rows -> per-row source probability in (0, 1), shape (n,)."""
-    return forward_sigmoid(bundle.layers_d, bundle.spec_d, conditioned)
+    return forward_sigmoid(bundle.layers_d, conditioned)
 
 
 def save_model(bundle: ModelBundle, path, extra_arrays: dict[str, np.ndarray] | None = None,

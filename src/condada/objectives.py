@@ -52,15 +52,13 @@ def cross_entropy(g_probs: Tensor, labels: np.ndarray) -> Tensor:
     ``scale(tsum(tsum(mul(log(p), hot), axis=1)), -1/n)``.
     """
     hot = one_hot(labels, g_probs.shape[1])
-    p = g_probs.data
-    clamped = np.maximum(p, T.LOG_CLAMP)
-    mask = p > T.LOG_CLAMP
-    c = float(-1.0 / p.shape[0])
-    value = (np.log(clamped) * hot).sum(axis=1).sum() * c
+    log_p, dlog = T.clamped_log(g_probs.data)
+    c = float(-1.0 / g_probs.shape[0])
+    value = (log_p * hot).sum(axis=1).sum() * c
 
     def _bw(out):
         if g_probs.requires_grad:
-            T._accumulate(g_probs, np.broadcast_to(out.grad * c, hot.shape) * hot * mask / clamped)
+            T._accumulate(g_probs, dlog(np.broadcast_to(out.grad * c, hot.shape) * hot))
 
     return T.node(value, (g_probs,), _bw)
 
@@ -73,7 +71,7 @@ def entropy(g_probs: Tensor) -> Tensor:
     the multiplication by g_c = 0 kills the term.
     """
     g = g_probs.data
-    return Tensor(-(g * np.log(np.maximum(g, T.LOG_CLAMP))).sum(axis=1))
+    return Tensor(-(g * T.clamped_log(g)[0]).sum(axis=1))
 
 
 def entropy_weight(h: Tensor) -> Tensor:
@@ -85,19 +83,18 @@ def _neg_log_mean(probs: np.ndarray, weights: Tensor | None):
     """(-mean_w log probs, backward) with the clamped log; weighted means are
     normalized by the weight sum. The backward maps the upstream scalar
     gradient to the gradient with respect to ``probs``."""
-    clamped = np.maximum(probs, T.LOG_CLAMP)
-    mask = probs > T.LOG_CLAMP
-    neg = -np.log(clamped)
+    log_p, dlog = T.clamped_log(probs)
+    neg = -log_p
     if weights is None:
         c = float(1.0 / neg.size)
         value = neg.sum() * c
-        return value, lambda g: -np.broadcast_to(g * c, neg.shape) * mask / clamped
+        return value, lambda g: dlog(-np.broadcast_to(g * c, neg.shape))
     if weights.shape != neg.shape:
         raise ValueError(f"weight shape {weights.shape} does not match value shape {neg.shape}")
     w = weights.data
     w_sum = w.sum()
     value = (neg * w).sum() / w_sum
-    return value, lambda g: -(np.broadcast_to(g / w_sum, neg.shape) * w) * mask / clamped
+    return value, lambda g: dlog(-(np.broadcast_to(g / w_sum, neg.shape) * w))
 
 
 def adversarial_losses(d_src: Tensor, d_tgt: Tensor,

@@ -28,7 +28,16 @@ from .tensor import Tensor
 
 METRICS_HEADER = ",".join(f.metadata.get("column", f.name) for f in fields(A.EpochMetrics))
 
-VARIANTS = ("source_only", "dann", "dann_g", "dann_fg", "cdan", "cdan_e")
+# Method presets: variant -> (conditioning strategy, entropy weighting); source_only also zeroes lambda.
+PRESETS = {
+    "source_only": (C.FEATURE_ONLY, False),
+    "dann": (C.FEATURE_ONLY, False),
+    "dann_g": (C.PREDICTION_ONLY, False),
+    "dann_fg": (C.CONCAT, False),
+    "cdan": ("auto", False),
+    "cdan_e": ("auto", True),
+}
+VARIANTS = tuple(PRESETS)
 
 _STREAM_PROJ = 4
 _STREAM_SRC_BATCHES = 5
@@ -48,29 +57,9 @@ def apply_variant(cfg: ExperimentConfig, variant: str) -> ExperimentConfig:
         raise ConfigError(f"unknown variant {name!r}, expected one of {VARIANTS}")
     if sampler and sampler not in C.SAMPLERS:
         raise ConfigError(f"unknown sampler {sampler!r} in variant {variant!r}")
-    out = replace(cfg)
-    if name == "source_only":
-        out.lam = 0.0
-        out.strategy = C.FEATURE_ONLY
-        out.entropy = False
-    elif name == "dann":
-        out.strategy = C.FEATURE_ONLY
-        out.entropy = False
-    elif name == "dann_g":
-        out.strategy = C.PREDICTION_ONLY
-        out.entropy = False
-    elif name == "dann_fg":
-        out.strategy = C.CONCAT
-        out.entropy = False
-    elif name == "cdan":
-        out.strategy = "auto"
-        out.entropy = False
-    elif name == "cdan_e":
-        out.strategy = "auto"
-        out.entropy = True
-    if sampler:
-        out.sampler = sampler
-    return out.validate()
+    strategy, entropy = PRESETS[name]
+    return replace(cfg, strategy=strategy, entropy=entropy, sampler=sampler or cfg.sampler,
+                   lam=0.0 if name == "source_only" else cfg.lam).validate()
 
 
 def _batch_cycle(labeled: LabeledSet, batch_size: int, seed: int):

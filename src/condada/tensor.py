@@ -38,6 +38,16 @@ LOG_CLAMP = 1e-12
 _recording = True
 
 
+def clamped_log(p: np.ndarray):
+    """(log(max(p, LOG_CLAMP)), dlog): every loss takes its logs here.
+
+    ``dlog(g) = g * (p > LOG_CLAMP) / max(p, LOG_CLAMP)`` maps an upstream
+    gradient to the gradient with respect to ``p``; clamped entries get zero.
+    The mask is computed only when ``dlog`` is called."""
+    clamped = np.maximum(p, LOG_CLAMP)
+    return np.log(clamped), lambda g: g * (p > LOG_CLAMP) / clamped
+
+
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_backward_done",
                  "__weakref__")

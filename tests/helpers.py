@@ -1,7 +1,8 @@
-"""Shared test utilities: finite-difference oracles, relative error, the
-tape ops that only the tests use as reference chains (the fused nodes of the
-package are checked, bit for bit, against chains of these), and the fork and
-pipe recorders of the forked-child hygiene tests."""
+"""Shared test utilities: finite-difference oracles, relative error, a
+config from key/value pairs, the tape ops that only the tests use as
+reference chains (the fused nodes of the package are checked, bit for bit,
+against chains of these), and the fork and pipe recorders of the
+forked-child hygiene tests."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from condada import config as cfgmod
 from condada import tensor as T
 
 FD_STEP = 1e-5
@@ -38,6 +40,11 @@ def max_relative_error(analytic: np.ndarray, reference: np.ndarray, floor: float
     reference = np.asarray(reference, dtype=np.float64)
     denom = np.maximum(np.abs(reference), floor)
     return float(np.max(np.abs(analytic - reference) / denom))
+
+
+def config_from_pairs(pairs: dict[str, str]) -> cfgmod.ExperimentConfig:
+    """The defaults with ``key: text value`` pairs applied, validated."""
+    return cfgmod._apply(cfgmod.ExperimentConfig(), pairs, "<config>").validate()
 
 
 def matmul(a: T.Tensor, b: T.Tensor) -> T.Tensor:

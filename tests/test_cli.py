@@ -113,6 +113,28 @@ def test_compare_verb(tmp_path, capsys):
     assert len(lines) == 1 + 2 + 2  # header, 2 runs, 2 summary rows
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+    (["export-features", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+    (["verify-theorem1", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+    (["compare", "--variants", "source_only,dann", "--seeds", "-1"], "seeds must be >= 0"),
+    (["compare", "--variants", "source_only,dann", "--seeds", "1,a"], "--seeds: bad value for seeds: '1,a'"),
+])
+def test_a_bad_seed_is_named_before_any_work(tmp_path, monkeypatch, capsys, argv, named):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started with a bad seed")
+
+    monkeypatch.setattr("condada.runner.train", no_work)
+    monkeypatch.setattr("condada.conditioning.draw", no_work)
+    out_dir = tmp_path / "out"
+    outs = [] if argv[0] == "verify-theorem1" else ["--out", str(out_dir)]
+    assert main(argv + outs) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_verify_theorem1_verb(capsys):
     code = main(["verify-theorem1", "--dims", "32,64", "--resamples", "2000",
                  "--samplers", "gaussian", "--seed", "0", "--df", "8", "--dg", "4"])

@@ -9,9 +9,10 @@ import pytest
 
 import condada.conditioning as C
 from condada.cli import build_parser
-from condada.config import KEYS, ExperimentConfig, config_from_pairs, load_config, parse_config_lines
+from condada.config import KEYS, ExperimentConfig, load_config, parse_config_lines
 from condada.errors import ConfigError
 from condada.runner import apply_variant
+from helpers import config_from_pairs
 
 
 def test_parse_lines_with_comments_and_blanks():
@@ -186,7 +187,7 @@ def _config_flags(verb: str) -> set[str]:
 def test_verbs_expose_the_keys_as_flags():
     assert _config_flags("run") == set(KEYS)
     assert _config_flags("export-features") == set(KEYS)
-    assert _config_flags("compare") == set(KEYS) - {"seeds"}
+    assert _config_flags("compare") == set(KEYS)
 
 
 def test_readme_configuration_table_lists_exactly_the_keys():

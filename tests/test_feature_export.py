@@ -16,8 +16,6 @@ from helpers import assert_no_child_and_no_open_pipe, count_forks, record_pipes
 
 def serial_reference(bundle, sets, path):
     """The serial export loop that the forked slices replaced."""
-    if isinstance(sets, LabeledSet):
-        sets = [sets]
     d_f = bundle.d_f
     with open(path, "w") as fh:
         fh.write(",".join(f"f{i}" for i in range(d_f)) + ",label,domain\n")
@@ -71,13 +69,6 @@ def test_slices_larger_than_a_pipe_buffer(tmp_path, monkeypatch, forks, cpus):
     assert len(got) > 6 * 2**16
     assert got == want
     assert len(forks) == 2 * (cpus - 1)
-
-
-def test_a_single_labeled_set_argument(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(A, "_usable_cpus", lambda: 3)
-    got, want = both_exports(tmp_path, make_bundle(), make_sets((23,))[0])
-    assert got == want
-    assert len(forks) == 2
 
 
 def test_sets_below_the_rows_per_worker_floor_stay_serial(tmp_path, monkeypatch):

@@ -99,7 +99,7 @@ def test_batch_forward_equals_row_by_row():
 
 def test_forward_shape_errors():
     bundle = small_bundle()
-    with pytest.raises(ValueError, match="expected batch"):
+    with pytest.raises(ValueError, match="shape mismatch"):
         N.forward_F(bundle, Tensor(np.zeros((3, 5))))
 
 

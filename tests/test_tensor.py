@@ -315,6 +315,20 @@ def tensor_references(tree: ast.Module, own_module: bool):
                 yield names.get(node.id, node.id), owner
 
 
+def test_np_log_is_taken_only_in_clamped_log():
+    # Every loss takes its logs through tensor.clamped_log, so the clamp's rows
+    # change in one place. analysis.entropy_exp_neg keeps its own 1e-300 floor
+    # until the saturation fix merges it into objectives.entropy: the merge
+    # moves the mean_w_* columns of metrics.csv.
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            sites += [(path.name, getattr(stmt, "name", None)) for node in ast.walk(stmt)
+                      if isinstance(node, ast.Attribute) and node.attr == "log"
+                      and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert sites == [("analysis.py", "entropy_exp_neg"), ("tensor.py", "clamped_log")]
+
+
 def test_every_public_tensor_function_has_a_caller_in_src():
     # An op that only the tests call belongs in tests/helpers.py.
     tensor = ast.parse((SRC / "tensor.py").read_text())

@@ -65,7 +65,7 @@ def test_matches_the_serial_loop(sampler, d, df, dg, n_resamples):
 
 
 def expected_pieces(n_resamples, workers, d, width):
-    piece = max(1, min(-(-CHUNK // workers), A._PIECE_ELEMS // (d * width)))
+    piece = max(1, A._PIECE_ELEMS // (d * width))
     sizes = []
     for start in range(0, n_resamples, CHUNK):
         k = min(CHUNK, n_resamples - start)
@@ -75,9 +75,9 @@ def expected_pieces(n_resamples, workers, d, width):
 
 @pytest.mark.parametrize("sampler", C.SAMPLERS)
 def test_more_workers_than_cores_lose_and_double_no_slice(monkeypatch, sampler):
-    # At d = 32, 1, 3 and 8 workers draw pieces of 341 (the byte budget), 171
-    # and 64 resamples; at d = 256 the budget sets 42 for all three. The last
-    # chunk (392 resamples) ends in a short piece for each of them.
+    # The byte budget sets the piece for any worker count: 341 resamples at
+    # d = 32, 42 at d = 256. The last chunk (392 resamples) ends in a short
+    # piece at d = 256.
     f, g, f2, g2 = quadruple(16, 8)
     lock = threading.Lock()
     shapes = []
