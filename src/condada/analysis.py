@@ -12,6 +12,7 @@ import numpy as np
 from . import conditioning as C
 from . import networks as N
 from . import optim
+from . import serialize
 from . import tensor as T
 from .datagen import LabeledSet
 from .tensor import Tensor
@@ -247,55 +248,16 @@ def entropy_correctness_report(g_probs_tgt: np.ndarray, labels_tgt: np.ndarray) 
     return mean_correct, mean_incorrect
 
 
-# Rows per export worker, at least. Forking pays from a few hundred rows, but
-# this floor keeps the 600-row default datasets serial: their export takes
-# about 0.1 s, not worth a forked copy of the process.
-MIN_ROWS_PER_WORKER = 2048
-
-
 def export_features(bundle: N.ModelBundle, sets: list[LabeledSet], path) -> None:
     """Write one CSV row per example: feature coordinates (floats by repr),
-    label, domain.
-
-    Formatting the floats is nearly all of the cost, and it holds the GIL, so
-    each set's rows are split into contiguous slices, one per usable CPU and
-    at most one per MIN_ROWS_PER_WORKER rows. The parent forks one child per
-    slice after the first (``forked``); each child formats its slice into
-    memory and writes it to its own pipe. The parent writes the first slice
-    itself, then copies the children's pipes into the file in slice order.
-    Where os.fork does not exist the slices are formatted inline. The file is
-    identical, byte for byte, for any number of workers. A worker that fails
-    raises OSError.
-    """
+    label, domain. The rows are formatted by ``serialize.write_csv_rows``."""
     header = ",".join(f"f{i}" for i in range(bundle.d_f)) + ",label,domain\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for labeled in sets:
             with T.no_tape():
                 feats = N.forward_F(bundle, Tensor(labeled.x)).data
-            _write_rows(fh, feats, labeled.y, labeled.domain)
-
-
-def _csv_lines(feats: np.ndarray, labels: np.ndarray, domain: str):
-    for row, label in zip(feats, labels):
-        yield ",".join(map(repr, row.tolist())) + f",{label},{domain}\n"
-
-
-def _write_rows(fh, feats: np.ndarray, labels: np.ndarray, domain: str) -> None:
-    n = feats.shape[0]
-    workers = max(1, min(_usable_cpus(), n // MIN_ROWS_PER_WORKER))
-    cuts = [n * k // workers for k in range(workers + 1)]
-    jobs = [(f"feature export worker {k} of {workers}", lambda lo=cuts[k], hi=cuts[k + 1]:
-             "".join(_csv_lines(feats[lo:hi], labels[lo:hi], domain)).encode("ascii"))
-            for k in range(1, workers)]
-    if jobs:
-        fh.flush()  # a child must not inherit buffered bytes
-    with forked(jobs) as outputs:
-        for line in _csv_lines(feats[:cuts[1]], labels[:cuts[1]], domain):
-            fh.write(line.encode("ascii"))
-        for output in outputs:
-            for chunk in output:
-                fh.write(chunk)
+            serialize.write_csv_rows(fh, feats, labeled.y, f",{labeled.domain}")
 
 
 @contextlib.contextmanager
@@ -308,9 +270,10 @@ def forked(jobs):
     Leaving the block kills and reaps every child not yet reaped and closes
     every pipe. A child ends in os._exit: no atexit handler, no flush of
     inherited buffers (the caller flushes its own first). ``produce`` must
-    take no lock another thread may have held at the fork; formatting floats
-    and numpy arithmetic take none. Without os.fork, or with one usable CPU,
-    where a child would only compete with the parent, each job runs inline.
+    take no lock another thread may have held at the fork; the A-distance
+    probe's numpy arithmetic takes none. Without os.fork, or with one usable
+    CPU, where a child would only compete with the parent, each job runs
+    inline.
     """
     if not hasattr(os, "fork") or _usable_cpus() < 2:
         yield [iter([produce()]) for _, produce in jobs]

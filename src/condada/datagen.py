@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import serialize
 from .errors import ConfigError
 
 GENERATORS = ("rotated_blobs", "twin_moons_shift")
@@ -184,11 +185,11 @@ def generate(spec: ShiftSpec) -> tuple[LabeledSet, LabeledSet]:
 
 
 def save_csv(labeled: LabeledSet, path) -> None:
-    """Feature columns then an integer label column; repr keeps floats exact."""
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{i}" for i in range(labeled.dim)) + ",label\n")
-        for row, label in zip(labeled.x, labeled.y):
-            fh.write(",".join(repr(v) for v in row.tolist()) + f",{label}\n")
+    """Feature columns then an integer label column; floats by repr, so
+    ``load_csv`` reads them back exactly (``serialize.write_csv_rows``)."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(f"x{i}" for i in range(labeled.dim)) + ",label\n").encode("ascii"))
+        serialize.write_csv_rows(fh, labeled.x, labeled.y)
 
 
 def _looks_like_header(fields: list[str]) -> bool:

@@ -7,6 +7,7 @@ import time
 import pytest
 
 import condada.analysis as A
+import condada.serialize as S
 from condada.cli import main
 from condada.config import ExperimentConfig
 from condada.runner import run_experiment
@@ -38,7 +39,7 @@ def run_outputs(path, seed=3):
 def test_forked_probe_equals_the_inline_probe(tmp_path, monkeypatch, forks):
     monkeypatch.setattr(A, "_usable_cpus", lambda: 2)
     forked = run_outputs(tmp_path / "forked")
-    assert len(forks) == 1  # the probe; 120-row sets export serially
+    assert len(forks) == 1  # the probe; the export forks nothing
 
     monkeypatch.setattr(A, "_usable_cpus", lambda: 1)
     assert run_outputs(tmp_path / "one_cpu") == forked
@@ -71,11 +72,11 @@ def test_an_interrupted_parent_kills_and_reaps_the_probe(tmp_path, monkeypatch, 
         time.sleep(60)  # only the kill ends it in time
         return 0.0
 
-    def lines_interrupted_in_parent(feats, labels, domain):
-        raise KeyboardInterrupt  # 120-row sets are formatted in the parent
+    def block_interrupted_in_parent(x, labels, tail):
+        raise KeyboardInterrupt  # the export formats its rows in the parent
 
     monkeypatch.setattr(A, "proxy_a_distance", probe_that_outlives_the_test)
-    monkeypatch.setattr(A, "_csv_lines", lines_interrupted_in_parent)
+    monkeypatch.setattr(S, "_csv_block", block_interrupted_in_parent)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_experiment(small_cfg(), 3, tmp_path)

@@ -99,6 +99,14 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert loaded.y.tobytes() == src.y.tobytes()
 
 
+def test_save_csv_writes_the_repr_of_each_float(tmp_path):
+    src, _ = D.make_rotated_blobs(D.ShiftSpec(n_source=600, n_target=600, seed=0))
+    D.save_csv(src, tmp_path / "src.csv")
+    want = "x0,x1,label\n" + "".join(",".join(map(repr, row.tolist())) + f",{label}\n"
+                                     for row, label in zip(src.x, src.y))
+    assert (tmp_path / "src.csv").read_bytes() == want.encode("ascii")
+
+
 def test_csv_header_is_optional(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("0.5,1.5,0\n-1.0,2.0,1\n")

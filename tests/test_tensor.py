@@ -329,6 +329,17 @@ def test_np_log_is_taken_only_in_clamped_log():
     assert sites == [("analysis.py", "entropy_exp_neg"), ("tensor.py", "clamped_log")]
 
 
+def test_repr_is_taken_only_in_the_csv_fallback_and_the_metrics_cell():
+    # CSV floats are formatted in one place, serialize's kernel, which repr's
+    # only the lanes it does not take; metrics.csv cells stay runner._fmt's.
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            sites += [(path.name, getattr(stmt, "name", None)) for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and node.id == "repr"]
+    assert sites == [("runner.py", "_fmt"), ("serialize.py", "_csv_block")]
+
+
 def test_every_public_tensor_function_has_a_caller_in_src():
     # An op that only the tests call belongs in tests/helpers.py.
     tensor = ast.parse((SRC / "tensor.py").read_text())
