@@ -21,7 +21,7 @@ from .conditioning import (
     select_strategy,
 )
 from .config import ExperimentConfig, load_config
-from .datagen import LabeledSet, ShiftSpec, batch_iter, load_csv, make_rotated_blobs, make_twin_moons_shift, save_csv
+from .datagen import LabeledSet, ShiftSpec, batch_iter, load_csv, save_csv
 from .errors import ConfigError, NumericAbort
 from .networks import MlpSpec, ModelBundle, forward_D, forward_F, forward_G, init_model, load_model, save_model
 from .objectives import LossBreakdown, adversarial_losses, cdan_step_losses, cross_entropy, entropy, entropy_weight
@@ -34,7 +34,7 @@ __all__ = [
     "proxy_a_distance", "theorem1_verify", "ConditioningStrategy", "RandomProjection", "condition",
     "multilinear_map", "randomized_multilinear_map", "sample_projection", "select_strategy",
     "ExperimentConfig", "load_config", "LabeledSet", "ShiftSpec", "batch_iter", "load_csv",
-    "make_rotated_blobs", "make_twin_moons_shift", "save_csv", "ConfigError", "NumericAbort",
+    "save_csv", "ConfigError", "NumericAbort",
     "MlpSpec", "ModelBundle", "forward_D", "forward_F", "forward_G", "init_model", "load_model",
     "save_model", "LossBreakdown", "adversarial_losses", "cdan_step_losses", "cross_entropy",
     "entropy", "entropy_weight", "ScheduleParams", "lambda_schedule", "lr_schedule",

@@ -261,65 +261,53 @@ def export_features(bundle: N.ModelBundle, sets: list[LabeledSet], path) -> None
 
 
 @contextlib.contextmanager
-def forked(jobs):
-    """Run each ``(name, produce)`` job's ``produce()`` in a forked child that
-    sends the bytes it returns through its own pipe, while the block runs.
+def forked(name: str, produce):
+    """Run ``produce()``, which returns a float, in a forked child while the
+    block runs; the child stores the float in an 8-byte anonymous shared
+    mapping, so no pipe or file descriptor is involved.
 
-    The block gets one generator per job: it yields the child's bytes, then
-    reaps the child and raises OSError naming the job if the child failed.
-    Leaving the block kills and reaps every child not yet reaped and closes
-    every pipe. A child ends in os._exit: no atexit handler, no flush of
-    inherited buffers (the caller flushes its own first). ``produce`` must
-    take no lock another thread may have held at the fork; the A-distance
-    probe's numpy arithmetic takes none. Without os.fork, or with one usable
-    CPU, where a child would only compete with the parent, each job runs
-    inline.
+    The block gets one function: it reaps the child, raises OSError naming the
+    job if the child failed, and otherwise returns the float. Leaving the block
+    kills and reaps the child if it is not yet reaped. The child ends in
+    os._exit: no atexit handler, no flush of inherited buffers (the caller
+    flushes its own first). ``produce`` must take no lock another thread may
+    have held at the fork; the A-distance probe's numpy arithmetic takes none.
+    Without os.fork, ``produce`` runs inline.
     """
-    if not hasattr(os, "fork") or _usable_cpus() < 2:
-        yield [iter([produce()]) for _, produce in jobs]
+    if not hasattr(os, "fork"):
+        value = produce()
+        yield lambda: value
         return
-    readers: dict[int, int] = {}  # job -> read end of its pipe, until closed
-    pids: dict[int, int] = {}  # job -> pid, until reaped
+    import mmap  # at module level it adds ~0.5 ms to `import condada`
+
+    shared = mmap.mmap(-1, 8)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            np.frombuffer(shared)[0] = produce()
+            code = 0
+        except BaseException:
+            import traceback
+
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
+
+    def result() -> float:
+        nonlocal pid
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = None
+        if status != 0:
+            raise OSError(f"{name} failed with exit status {status}")
+        return float(np.frombuffer(shared)[0])
+
     try:
-        for k, (_, produce) in enumerate(jobs):
-            r, w = os.pipe()
-            readers[k] = r
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        for fd in readers.values():
-                            os.close(fd)
-                        view = memoryview(produce())
-                        while view:
-                            view = view[os.write(w, view):]
-                        code = 0
-                    except BaseException:
-                        import traceback
-
-                        os.write(2, traceback.format_exc().encode())
-                    finally:
-                        os._exit(code)
-                pids[k] = pid
-            finally:
-                os.close(w)
-
-        def output(k: int):
-            while chunk := os.read(readers[k], 1 << 16):
-                yield chunk
-            os.close(readers.pop(k))
-            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])
-            if status != 0:
-                raise OSError(f"{jobs[k][0]} failed with exit status {status}")
-
-        yield [output(k) for k in range(len(jobs))]
+        yield result
     finally:
-        for fd in readers.values():
-            os.close(fd)
-        if pids:
+        if pid is not None:
             import signal  # only on failure: at module level it adds ~0.7 ms to `import condada`
 
-            for pid in pids.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        shared.close()

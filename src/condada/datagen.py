@@ -15,8 +15,6 @@ import numpy as np
 from . import serialize
 from .errors import ConfigError
 
-GENERATORS = ("rotated_blobs", "twin_moons_shift")
-
 # Stream tags for per-seed rng derivation.
 _STREAM_SOURCE, _STREAM_TARGET = 10, 11
 
@@ -131,6 +129,11 @@ def _blob_means(spec: ShiftSpec) -> np.ndarray:
 
 
 def _sample_blobs(spec: ShiftSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian blobs on a circle; the target draw is freshly sampled from the
+    source law, then globally rotated. Rotations approaching the inter-class
+    spacing land each target cluster nearest the *next* class's source
+    cluster; the default stays below the smallest half-spacing so the shift is
+    large but recoverable."""
     c = spec.n_classes
     noise = spec.noise if spec.noise is not None else _BLOBS_DEFAULT_NOISE
     means = _blob_means(spec)
@@ -141,20 +144,11 @@ def _sample_blobs(spec: ShiftSpec, n: int, rng: np.random.Generator) -> tuple[np
     return x, y
 
 
-def make_rotated_blobs(spec: ShiftSpec) -> tuple[LabeledSet, LabeledSet]:
-    """Gaussian blobs on a circle; the target draw is freshly sampled from the
-    source law, then globally rotated. Rotations approaching the inter-class
-    spacing land each target cluster nearest the *next* class's source
-    cluster; the default stays below the smallest half-spacing so the shift is
-    large but recoverable."""
-    x_s, y_s = _sample_blobs(spec, spec.n_source, np.random.default_rng([spec.seed, _STREAM_SOURCE]))
-    x_t, y_t = _sample_blobs(spec, spec.n_target, np.random.default_rng([spec.seed, _STREAM_TARGET]))
-    rotations = _rotations(spec, _BLOBS_DEFAULT_ROTATION)
-    x_t = _transform_target(x_t, y_t, rotations, spec.translation, pivot=None)
-    return LabeledSet(x_s, y_s, "source"), LabeledSet(x_t, y_t, "target")
-
-
 def _sample_moons(spec: ShiftSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Two interleaving moons; the target draw is rotated about the moons'
+    centroid (default 30 degrees), so 180 degrees swaps the moons exactly."""
+    if spec.n_classes != 2:
+        raise ConfigError(f"twin_moons_shift is a 2-class problem, got n_classes={spec.n_classes}")
     noise = spec.noise if spec.noise is not None else _MOONS_DEFAULT_NOISE
     half = n // 2
     t0 = rng.uniform(0.0, np.pi, half)
@@ -166,22 +160,22 @@ def _sample_moons(spec: ShiftSpec, n: int, rng: np.random.Generator) -> tuple[np
     return x, y
 
 
-def make_twin_moons_shift(spec: ShiftSpec) -> tuple[LabeledSet, LabeledSet]:
-    """Two interleaving moons; the target draw is rotated about the moons'
-    centroid (default 30 degrees), so 180 degrees swaps the moons exactly."""
-    if spec.n_classes != 2:
-        raise ConfigError(f"twin_moons_shift is a 2-class problem, got n_classes={spec.n_classes}")
-    x_s, y_s = _sample_moons(spec, spec.n_source, np.random.default_rng([spec.seed, _STREAM_SOURCE]))
-    x_t, y_t = _sample_moons(spec, spec.n_target, np.random.default_rng([spec.seed, _STREAM_TARGET]))
-    rotations = _rotations(spec, _MOONS_DEFAULT_ROTATION)
-    x_t = _transform_target(x_t, y_t, rotations, spec.translation, pivot=_MOONS_PIVOT)
-    return LabeledSet(x_s, y_s, "source"), LabeledSet(x_t, y_t, "target")
+# generator -> (sampler, default target rotation in degrees, rotation pivot)
+_GENERATOR_TABLE = {
+    "rotated_blobs": (_sample_blobs, _BLOBS_DEFAULT_ROTATION, None),
+    "twin_moons_shift": (_sample_moons, _MOONS_DEFAULT_ROTATION, _MOONS_PIVOT),
+}
+GENERATORS = tuple(_GENERATOR_TABLE)
 
 
 def generate(spec: ShiftSpec) -> tuple[LabeledSet, LabeledSet]:
-    if spec.generator == "rotated_blobs":
-        return make_rotated_blobs(spec)
-    return make_twin_moons_shift(spec)
+    """Source and target draws from one sampler, each from its own seeded
+    stream; the target is then rotated per class and translated."""
+    sample, default_rotation, pivot = _GENERATOR_TABLE[spec.generator]
+    x_s, y_s = sample(spec, spec.n_source, np.random.default_rng([spec.seed, _STREAM_SOURCE]))
+    x_t, y_t = sample(spec, spec.n_target, np.random.default_rng([spec.seed, _STREAM_TARGET]))
+    x_t = _transform_target(x_t, y_t, _rotations(spec, default_rotation), spec.translation, pivot)
+    return LabeledSet(x_s, y_s, "source"), LabeledSet(x_t, y_t, "target")
 
 
 def save_csv(labeled: LabeledSet, path) -> None:
@@ -240,6 +234,11 @@ def load_csv(path, domain: str = "source", n_classes: int | None = None) -> Labe
     if not rows:
         raise ValueError(f"{path}: no data rows")
     labeled = LabeledSet(np.array(rows), np.array(labels), domain)
+    finite = np.isfinite(labeled.x).all(axis=1)
+    if not finite.all():  # found again from the file, so the row loop keeps no line numbers
+        with open(path) as fh:
+            lines = [lineno for lineno, line in enumerate(fh, start=1) if line.strip()]
+        raise ValueError(f"{path}: non-finite feature at line {lines[len(lines) - len(rows) + finite.argmin()]}")
     if domain == "source" and n_classes is not None:
         present = set(labeled.y.tolist())
         missing = [c for c in range(n_classes) if c not in present]

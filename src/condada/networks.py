@@ -157,6 +157,9 @@ def load_model(path) -> tuple[ModelBundle, dict[str, np.ndarray], dict[str, str]
             if len(by_index[i]) != 2:
                 raise ValueError(f"{path}: layer {tag}.{i} needs both its W and its b array")
             w, b = by_index[i]["W"], by_index[i]["b"]
+            if w.ndim != 2 or b.shape != w.shape[1:] or (widths and w.shape[0] != widths[-1]):
+                raise ValueError(f"{path}: layer {tag}.{i} has W of shape {w.shape} and b of shape {b.shape}, "
+                                 f"expected ({widths[-1] if widths else 'm'}, n) and (n,)")
             if not widths:
                 widths.append(w.shape[0])
             widths.append(w.shape[1])

@@ -37,13 +37,9 @@ def run_outputs(path, seed=3):
 
 
 def test_forked_probe_equals_the_inline_probe(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(A, "_usable_cpus", lambda: 2)
     forked = run_outputs(tmp_path / "forked")
     assert len(forks) == 1  # the probe; the export forks nothing
 
-    monkeypatch.setattr(A, "_usable_cpus", lambda: 1)
-    assert run_outputs(tmp_path / "one_cpu") == forked
-    monkeypatch.setattr(A, "_usable_cpus", lambda: 2)
     monkeypatch.delattr(os, "fork")
     assert run_outputs(tmp_path / "no_fork") == forked
     assert len(forks) == 1
@@ -51,8 +47,6 @@ def test_forked_probe_equals_the_inline_probe(tmp_path, monkeypatch, forks):
 
 def test_a_failing_probe_raises_oserror_exits_2_and_leaves_nothing_behind(tmp_path, monkeypatch, capsys,
                                                                           forks, pipes):
-    monkeypatch.setattr(A, "_usable_cpus", lambda: 2)
-
     def failing_probe(f_src, f_tgt, seed):
         raise RuntimeError("probe failure")
 
@@ -61,7 +55,7 @@ def test_a_failing_probe_raises_oserror_exits_2_and_leaves_nothing_behind(tmp_pa
         run_experiment(small_cfg(), 3, tmp_path / "api")
     assert main(["run", *RUN_FLAGS, "--out", str(tmp_path / "cli")]) == 2
     assert capsys.readouterr().err.startswith("error: A-distance probe failed with exit status 1")
-    assert len(forks) == 2 and len(pipes) == 4
+    assert len(forks) == 2 and pipes == []
     assert_no_child_and_no_open_pipe(pipes)
 
 

@@ -255,3 +255,26 @@ def test_export_features_from_a_model_missing_a_layer_is_exit_2(tmp_path, capsys
     err = capsys.readouterr().err
     assert str(cut) in err and f"network {layer[0]}" in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("layer,fields", [
+    ("F.0.b", lambda t: ["1", "1", t[3]]),  # one value where 64 belong
+    ("F.1.W", lambda t: ["1", "4096", *t[4:]]),  # rank 1
+    ("F.1.W", lambda t: ["2", "32", "64", *t[4:4 + 32 * 64]]),  # 32 rows after a 64-wide layer
+], ids=["short-b", "rank-1-W", "unchained-W"])
+def test_export_features_from_a_model_with_a_malformed_layer_is_exit_2(tmp_path, capsys, layer, fields):
+    run_dir = tmp_path / "run"
+    base = ["--dataset.n_source", "120", "--dataset.n_target", "120", "--train.total_steps", "20"]
+    assert main(["run", *base, "--seed", "0", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.txt"
+    lines = (run_dir / "model.txt").read_text().splitlines(keepends=True)
+    bad.write_text("".join(" ".join([layer, *fields(line.split())]) + "\n" if line.startswith(f"{layer} ") else line
+                           for line in lines))
+    code = main(["export-features", *base, "--seed", "0", "--out", str(run_dir),
+                 "--model", str(bad), "--output", str(tmp_path / "f.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert str(bad) in err and f"layer {layer[:3]} " in err
+    assert not (tmp_path / "f.csv").exists()

@@ -11,15 +11,15 @@ from condada.runner import apply_variant, run_experiment
 
 def test_rotated_blobs_deterministic_per_seed():
     spec = D.ShiftSpec(seed=123)
-    s1, t1 = D.make_rotated_blobs(spec)
-    s2, t2 = D.make_rotated_blobs(spec)
+    s1, t1 = D.generate(spec)
+    s2, t2 = D.generate(spec)
     assert s1.x.tobytes() == s2.x.tobytes()
     assert t1.x.tobytes() == t2.x.tobytes()
     assert s1.y.tobytes() == s2.y.tobytes()
 
 
 def test_rotated_blobs_equal_class_priors():
-    src, tgt = D.make_rotated_blobs(D.ShiftSpec(n_source=600, n_target=600, n_classes=3))
+    src, tgt = D.generate(D.ShiftSpec(n_source=600, n_target=600, n_classes=3))
     for labeled in (src, tgt):
         counts = np.bincount(labeled.y, minlength=3)
         np.testing.assert_array_equal(counts, [200, 200, 200])
@@ -34,7 +34,7 @@ def test_rotated_blobs_target_cluster_sits_nearest_next_class():
     # At the near-2pi/C rotation regime the target cluster of class c lands
     # closest to the source cluster of class c+1.
     spec = D.ShiftSpec(rotation_deg=100.0, noise=0.5, seed=7)
-    src, tgt = D.make_rotated_blobs(spec)
+    src, tgt = D.generate(spec)
     src_means = np.stack([src.x[src.y == c].mean(axis=0) for c in range(3)])
     for c in range(3):
         tgt_mean = tgt.x[tgt.y == c].mean(axis=0)
@@ -43,55 +43,55 @@ def test_rotated_blobs_target_cluster_sits_nearest_next_class():
 
 
 def test_zero_rotation_target_is_fresh_draw_from_source_law():
-    src, tgt = D.make_rotated_blobs(D.ShiftSpec(rotation_deg=0.0, seed=3))
+    src, tgt = D.generate(D.ShiftSpec(rotation_deg=0.0, seed=3))
     assert src.x.tobytes() != tgt.x.tobytes()  # fresh noise, not a copy
     for c in range(3):
         np.testing.assert_allclose(src.x[src.y == c].mean(axis=0),
                                    tgt.x[tgt.y == c].mean(axis=0), atol=0.2)
 
 
-def test_zero_rotation_source_classifier_transfers():
+def test_zero_rotation_source_classifier_transfers(tmp_path):
     # A source-only pipeline should score highly on an identically distributed target.
     cfg = apply_variant(ExperimentConfig(rotation_deg=0.0, total_steps=600), "source_only")
-    record = run_experiment(cfg, 0, "/tmp/condada_test/datagen_theta0")
+    record = run_experiment(cfg, 0, tmp_path)
     assert record.final_target_accuracy > 0.95
 
 
 def test_moons_balance_and_determinism():
     spec = D.ShiftSpec(generator="twin_moons_shift", n_classes=2, n_source=1000, n_target=1000, seed=11)
-    src, tgt = D.make_twin_moons_shift(spec)
+    src, tgt = D.generate(spec)
     np.testing.assert_array_equal(np.bincount(src.y), [500, 500])
     np.testing.assert_array_equal(np.bincount(tgt.y), [500, 500])
-    s2, _ = D.make_twin_moons_shift(spec)
+    s2, _ = D.generate(spec)
     assert src.x.tobytes() == s2.x.tobytes()
 
 
 def test_moons_zero_rotation_same_law():
     spec = D.ShiftSpec(generator="twin_moons_shift", n_classes=2, rotation_deg=0.0, seed=5,
                        n_source=2000, n_target=2000)
-    src, tgt = D.make_twin_moons_shift(spec)
+    src, tgt = D.generate(spec)
     np.testing.assert_allclose(src.x.mean(axis=0), tgt.x.mean(axis=0), atol=0.1)
     np.testing.assert_allclose(src.x.std(axis=0), tgt.x.std(axis=0), atol=0.1)
 
 
-def test_moons_half_turn_swaps_sides():
+def test_moons_half_turn_swaps_sides(tmp_path):
     # Rotating the target by 180 degrees maps each moon onto the other, so a
     # source-trained classifier does worse than chance.
     cfg = apply_variant(
         ExperimentConfig(generator="twin_moons_shift", n_classes=2, rotation_deg=180.0,
                          total_steps=600),
         "source_only")
-    record = run_experiment(cfg, 0, "/tmp/condada_test/datagen_moons180")
+    record = run_experiment(cfg, 0, tmp_path)
     assert record.final_target_accuracy < 0.5
 
 
 def test_moons_requires_two_classes():
     with pytest.raises(ConfigError, match="2-class"):
-        D.make_twin_moons_shift(D.ShiftSpec(generator="twin_moons_shift", n_classes=3, n_source=6, n_target=6))
+        D.generate(D.ShiftSpec(generator="twin_moons_shift", n_classes=3, n_source=6, n_target=6))
 
 
 def test_csv_round_trip_is_exact(tmp_path):
-    src, _ = D.make_rotated_blobs(D.ShiftSpec(n_source=60, n_target=60, seed=2))
+    src, _ = D.generate(D.ShiftSpec(n_source=60, n_target=60, seed=2))
     path = tmp_path / "src.csv"
     D.save_csv(src, path)
     loaded = D.load_csv(path, domain="source", n_classes=3)
@@ -100,7 +100,7 @@ def test_csv_round_trip_is_exact(tmp_path):
 
 
 def test_save_csv_writes_the_repr_of_each_float(tmp_path):
-    src, _ = D.make_rotated_blobs(D.ShiftSpec(n_source=600, n_target=600, seed=0))
+    src, _ = D.generate(D.ShiftSpec(n_source=600, n_target=600, seed=0))
     D.save_csv(src, tmp_path / "src.csv")
     want = "x0,x1,label\n" + "".join(",".join(map(repr, row.tolist())) + f",{label}\n"
                                      for row, label in zip(src.x, src.y))
@@ -121,6 +121,8 @@ def test_csv_header_is_optional(tmp_path):
     ("0.5,1.5,2\n", "n_classes"),
     ("0.5,1.5,0.7\n", "non-integer label"),
     ("0.5,1.5,-1\n", "negative label"),
+    ("0.5,nan,0\n", "non-finite feature at line 1"),
+    ("x0,x1,label\n0.5,1.5,0\n\n-inf,1.5,1\n", "non-finite feature at line 4"),
 ])
 def test_csv_errors(tmp_path, content, message):
     path = tmp_path / "bad.csv"
