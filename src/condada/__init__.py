@@ -1,43 +1,33 @@
 """Conditional adversarial domain adaptation at desk scale: a small autodiff
 tape, MLP players, multilinear/randomized conditioning, entropy reweighting,
-the annealed minimax trainer, and the accompanying diagnostics."""
+the annealed minimax trainer, and the accompanying diagnostics.
 
-from .analysis import (
-    MetricsRecord,
-    Theorem1Result,
-    accuracy,
-    entropy_correctness_report,
-    export_features,
-    proxy_a_distance,
-    theorem1_verify,
-)
-from .conditioning import (
-    ConditioningStrategy,
-    RandomProjection,
-    condition,
-    multilinear_map,
-    randomized_multilinear_map,
-    sample_projection,
-    select_strategy,
-)
-from .config import ExperimentConfig, load_config
-from .datagen import LabeledSet, ShiftSpec, batch_iter, load_csv, save_csv
-from .errors import ConfigError, NumericAbort
-from .networks import MlpSpec, ModelBundle, forward_D, forward_F, forward_G, init_model, load_model, save_model
-from .objectives import LossBreakdown, adversarial_losses, cdan_step_losses, cross_entropy, entropy, entropy_weight
-from .optim import ScheduleParams, lambda_schedule, lr_schedule
-from .runner import compare, run_experiment, train, verify_theorem1
-from .tensor import Tensor, backward, gradient_reversal
+The modules are the API (README, Layout); the top level holds only the six
+names that ``perfbench/worker.py`` calls, and a test keeps the two equal."""
 
-__all__ = [
-    "MetricsRecord", "Theorem1Result", "accuracy", "entropy_correctness_report", "export_features",
-    "proxy_a_distance", "theorem1_verify", "ConditioningStrategy", "RandomProjection", "condition",
-    "multilinear_map", "randomized_multilinear_map", "sample_projection", "select_strategy",
-    "ExperimentConfig", "load_config", "LabeledSet", "ShiftSpec", "batch_iter", "load_csv",
-    "save_csv", "ConfigError", "NumericAbort",
-    "MlpSpec", "ModelBundle", "forward_D", "forward_F", "forward_G", "init_model", "load_model",
-    "save_model", "LossBreakdown", "adversarial_losses", "cdan_step_losses", "cross_entropy",
-    "entropy", "entropy_weight", "ScheduleParams", "lambda_schedule", "lr_schedule",
-    "compare", "run_experiment", "train", "verify_theorem1", "Tensor", "backward",
-    "gradient_reversal",
-]
+import ctypes
+import glob
+import os
+
+import numpy as np
+
+from .config import load_config
+from .datagen import ShiftSpec, save_csv
+from .networks import load_model
+from .runner import run_experiment, verify_theorem1
+
+__all__ = ["ShiftSpec", "load_config", "load_model", "run_experiment", "save_csv", "verify_theorem1"]
+
+
+def _one_blas_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread: its threads spin between a
+    step's small matmuls. A no-op where the library or its setter is missing."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*")):
+        set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    _one_blas_thread()  # an explicit thread count from the user wins

@@ -1,8 +1,8 @@
 """Shared test utilities: finite-difference oracles, relative error, a
 config from key/value pairs, the tape ops that only the tests use as
 reference chains (the fused nodes of the package are checked, bit for bit,
-against chains of these), and the fork and pipe recorders of the
-forked-child hygiene tests."""
+against chains of these), and the fork recorder and open-descriptor check of
+the forked-child hygiene tests."""
 
 from __future__ import annotations
 
@@ -195,23 +195,13 @@ def count_forks(monkeypatch) -> list[int]:
     return count
 
 
-def record_pipes(monkeypatch) -> list[int]:
-    """Patch os.pipe to record every fd it opens."""
-    fds = []
-    real_pipe = os.pipe
-
-    def recording_pipe():
-        r, w = real_pipe()
-        fds.extend((r, w))
-        return r, w
-
-    monkeypatch.setattr(os, "pipe", recording_pipe)
-    return fds
+def open_fds() -> set[str]:
+    """The file descriptors this process holds open: pipes, files, mappings."""
+    return set(os.listdir("/dev/fd"))
 
 
-def assert_no_child_and_no_open_pipe(fds):
+def assert_no_child_and_no_new_fd(before: set[str]):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    for fd in fds:
-        with pytest.raises(OSError):
-            os.fstat(fd)
+    now = open_fds()
+    assert now == before, f"descriptors left open: {sorted(now - before)}, closed: {sorted(before - now)}"

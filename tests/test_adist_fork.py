@@ -1,5 +1,6 @@
 """The proxy A-distance probe in a forked child, alongside the output writes:
-the same value as inline, and no child or pipe left behind on any failure."""
+the same value as inline, and no child or open descriptor left behind on any
+failure."""
 
 import os
 import time
@@ -11,7 +12,7 @@ import condada.serialize as S
 from condada.cli import main
 from condada.config import ExperimentConfig
 from condada.runner import run_experiment
-from helpers import assert_no_child_and_no_open_pipe, count_forks, record_pipes
+from helpers import assert_no_child_and_no_new_fd, count_forks, open_fds
 
 OUTPUTS = ("metrics.csv", "model.txt", "features.csv")
 RUN_FLAGS = ["--dataset.n_source", "120", "--dataset.n_target", "120", "--train.total_steps", "20", "--seed", "2"]
@@ -27,8 +28,8 @@ def forks(monkeypatch):
 
 
 @pytest.fixture
-def pipes(monkeypatch):
-    return record_pipes(monkeypatch)
+def fds():
+    return open_fds()
 
 
 def run_outputs(path, seed=3):
@@ -36,9 +37,10 @@ def run_outputs(path, seed=3):
     return record.a_distance, [(path / name).read_bytes() for name in OUTPUTS]
 
 
-def test_forked_probe_equals_the_inline_probe(tmp_path, monkeypatch, forks):
+def test_forked_probe_equals_the_inline_probe(tmp_path, monkeypatch, forks, fds):
     forked = run_outputs(tmp_path / "forked")
     assert len(forks) == 1  # the probe; the export forks nothing
+    assert_no_child_and_no_new_fd(fds)
 
     monkeypatch.delattr(os, "fork")
     assert run_outputs(tmp_path / "no_fork") == forked
@@ -46,7 +48,7 @@ def test_forked_probe_equals_the_inline_probe(tmp_path, monkeypatch, forks):
 
 
 def test_a_failing_probe_raises_oserror_exits_2_and_leaves_nothing_behind(tmp_path, monkeypatch, capsys,
-                                                                          forks, pipes):
+                                                                          forks, fds):
     def failing_probe(f_src, f_tgt, seed):
         raise RuntimeError("probe failure")
 
@@ -55,13 +57,11 @@ def test_a_failing_probe_raises_oserror_exits_2_and_leaves_nothing_behind(tmp_pa
         run_experiment(small_cfg(), 3, tmp_path / "api")
     assert main(["run", *RUN_FLAGS, "--out", str(tmp_path / "cli")]) == 2
     assert capsys.readouterr().err.startswith("error: A-distance probe failed with exit status 1")
-    assert len(forks) == 2 and pipes == []
-    assert_no_child_and_no_open_pipe(pipes)
+    assert len(forks) == 2
+    assert_no_child_and_no_new_fd(fds)
 
 
-def test_an_interrupted_parent_kills_and_reaps_the_probe(tmp_path, monkeypatch, forks, pipes):
-    monkeypatch.setattr(A, "_usable_cpus", lambda: 2)
-
+def test_an_interrupted_parent_kills_and_reaps_the_probe(tmp_path, monkeypatch, forks, fds):
     def probe_that_outlives_the_test(f_src, f_tgt, seed):
         time.sleep(60)  # only the kill ends it in time
         return 0.0
@@ -77,4 +77,4 @@ def test_an_interrupted_parent_kills_and_reaps_the_probe(tmp_path, monkeypatch, 
     assert time.monotonic() - start < 30
     assert (tmp_path / "model.txt").exists()  # interrupted during the export, after the other writes
     assert len(forks) == 1
-    assert_no_child_and_no_open_pipe(pipes)
+    assert_no_child_and_no_new_fd(fds)

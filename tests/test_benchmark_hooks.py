@@ -1,14 +1,18 @@
 """The names the benchmark reaches into: every boundary that
-perfbench/tracing.py rebinds exists, and every exported name resolves, so a
-deletion that removes a traced layer or leaves a stale export fails here."""
+perfbench/tracing.py rebinds exists, and the package's top level exports
+exactly the names perfbench calls on it, so a deletion that removes a traced
+layer or a called name, or leaves a stale export, fails here."""
 
+import ast
 import importlib.util
 import pathlib
+import pkgutil
 
 import condada
 import condada.networks as N
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -35,3 +39,15 @@ def test_every_traced_boundary_exists_and_uninstall_restores_it():
 def test_every_exported_name_resolves():
     missing = [name for name in condada.__all__ if not hasattr(condada, name)]
     assert missing == []
+
+
+def test_the_top_level_exports_exactly_what_perfbench_calls():
+    submodules = {module.name for module in pkgutil.iter_modules(condada.__path__)}
+    called = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "condada":
+                called.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "condada":
+                called.update(alias.name for alias in node.names)
+    assert called - submodules == set(condada.__all__)

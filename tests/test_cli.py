@@ -1,4 +1,9 @@
-"""CLI verbs, flag/file overrides, and exit codes."""
+"""CLI verbs, flag/file overrides, exit codes, and the process's BLAS threads."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -278,3 +283,30 @@ def test_export_features_from_a_model_with_a_malformed_layer_is_exit_2(tmp_path,
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert str(bad) in err and f"layer {layer[:3]} " in err
     assert not (tmp_path / "f.csv").exists()
+
+
+BLAS_THREADS = """
+import ctypes, glob, os, sys, numpy as np
+if sys.argv[1] == "condada":
+    import condada
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
+print(ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_() if libs else -1)
+"""
+
+
+def blas_threads(importing: str, **env) -> int:
+    """OpenBLAS's thread count in a fresh process that imports numpy, then ``importing``."""
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", BLAS_THREADS, importing], env={**base, **env},
+                         capture_output=True, text=True, check=True).stdout
+    return int(out)
+
+
+def test_importing_condada_sets_one_blas_thread_unless_the_user_set_a_count():
+    if blas_threads("numpy") == -1:
+        pytest.skip("numpy has no bundled scipy-openblas64 here")
+    assert blas_threads("condada") == 1
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        assert blas_threads("condada", **{var: "2"}) == blas_threads("numpy", **{var: "2"})

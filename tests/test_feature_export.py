@@ -13,7 +13,8 @@ from helpers import count_forks
 
 
 def serial_reference(bundle, sets, path):
-    """The serial export loop that the forked slices replaced."""
+    """The export as a loop of reprs, one row at a time: the bytes that
+    ``serialize.write_csv_rows`` must reproduce."""
     d_f = bundle.d_f
     with open(path, "w") as fh:
         fh.write(",".join(f"f{i}" for i in range(d_f)) + ",label,domain\n")
@@ -61,8 +62,7 @@ def test_forked_slices_match_the_serial_loop(tmp_path, monkeypatch, forks, cpus,
     assert forks == []
 
 
-def test_a_5000_row_set_forks_nothing_at_8_cpus(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(A, "_usable_cpus", lambda: 8)
+def test_a_5000_row_set_is_exported_in_process_as_the_repr_loop(tmp_path, forks):
     got, want = both_exports(tmp_path, make_bundle(d_f=16), make_sets((5000,)))
     assert got == want
     assert forks == []
