@@ -300,7 +300,7 @@ def blas_threads(importing: str, **env) -> int:
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", BLAS_THREADS, importing], env={**base, **env},
-                         capture_output=True, text=True, check=True).stdout
+                         capture_output=True, text=True, check=True, timeout=60).stdout
     return int(out)
 
 

@@ -17,10 +17,13 @@ moved cases in CHANGES.md; the table's diff is the record:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import io
 import json
+import os
 import pathlib
 import platform
 import sys
@@ -66,19 +69,31 @@ def flags(pairs: dict) -> list[str]:
     return [text for key, value in pairs.items() for text in (f"--{key}", value)]
 
 
+def cli(argv: list[str]) -> None:
+    if main(argv) != 0:
+        raise RuntimeError(f"condada {' '.join(argv)} failed")
+
+
 def sha256(path) -> str:
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
 def fingerprint() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    """What the bytes depend on: numpy and the SIMD kernels it dispatches to,
+    the BLAS build and the core kernels it picked at run time, and the CPU."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    blas = blas.get("openblas configuration", f"{blas['name']} {blas['version']}")
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*")):
+        get_config = getattr(ctypes.CDLL(path), "scipy_openblas_get_config64_", None)
+        if get_config is not None:
+            get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+            blas = get_config().decode()
     cpu = platform.processor() or platform.machine()
     with contextlib.suppress(OSError):
         with open("/proc/cpuinfo") as fh:
             cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
-    return {"numpy": np.__version__,
-            "blas": f"{blas['name']} {blas['version']} {blas.get('openblas configuration', '')}".strip(),
-            "cpu": cpu}
+    return {"numpy": np.__version__, "simd": " ".join(config["SIMD Extensions"]["found"]), "blas": blas, "cpu": cpu}
 
 
 def produce(work: pathlib.Path) -> dict:
@@ -93,11 +108,11 @@ def produce(work: pathlib.Path) -> dict:
 
         seed, pairs = RUNS[REEXPORTED]
         argv = ["export-features", "--seed", str(seed), *flags(pairs)]
-        assert main([*argv, "--out", str(work / REEXPORTED), "--output", str(work / "reexport.csv")]) == 0
+        cli([*argv, "--out", str(work / REEXPORTED), "--output", str(work / "reexport.csv")])
         got["export_features"] = {"argv": " ".join(argv), "features.csv": sha256(work / "reexport.csv")}
 
         argv = ["compare", *COMPARE]
-        assert main([*argv, "--out", str(work / "compare")]) == 0
+        cli([*argv, "--out", str(work / "compare")])
         got["compare"] = {"argv": " ".join(argv), "summary.csv": sha256(work / "compare" / "summary.csv")}
 
     save_csv(generate(ShiftSpec(**SAVED_SET))[0], work / "saved.csv")
