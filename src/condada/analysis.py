@@ -96,11 +96,11 @@ def proxy_a_distance(f_src: np.ndarray, f_tgt: np.ndarray, seed: int) -> float:
     x_const = Tensor(x_train)
     one_minus_y = 1.0 - y_train
     for _ in range(_ADIST_EPOCHS):
-        T.backward(_probe_loss(N.forward_sigmoid(layers, x_const), y_train, one_minus_y))
+        T.backward(_probe_loss(T.mlp(x_const, layers), y_train, one_minus_y))
         optimizer.step(_ADIST_LR)
 
     def test_error(rows: np.ndarray, label: float) -> np.ndarray:
-        p = N.forward_sigmoid(layers, Tensor(rows)).data
+        p = T.clipped_sigmoid(T.mlp(Tensor(rows), layers).data)[0]
         return (p > 0.5).astype(np.float64) != label
 
     with T.no_tape():
@@ -108,22 +108,24 @@ def proxy_a_distance(f_src: np.ndarray, f_tgt: np.ndarray, seed: int) -> float:
     return a_distance_from_error(errors.mean())
 
 
-def _probe_loss(p: Tensor, y: np.ndarray, one_minus_y: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy of probabilities p against labels y, with the
-    clamped log, as one node; forward and backward are the arithmetic of
+def _probe_loss(z: Tensor, y: np.ndarray, one_minus_y: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy of p = clipped_sigmoid(z), z the (n, 1) logits,
+    against labels y, with the clamped log, as one node; forward and backward
+    are the arithmetic of
     ``scale(tsum(add(mul(y, log(p)), mul(1 - y, log(1 - p)))), -1/n)``."""
-    n = p.shape[0]
-    log_p, dlog_p = T.clamped_log(p.data)
-    log_q, dlog_q = T.clamped_log(p.data * -1.0 + np.ones(n))
+    n = z.shape[0]
+    p, dsig = T.clipped_sigmoid(z.data)
+    log_p, dlog_p = T.clamped_log(p)
+    log_q, dlog_q = T.clamped_log(p * -1.0 + np.ones(n))
     c = float(-1.0 / n)
     value = (y * log_p + one_minus_y * log_q).sum() * c
 
     def _bw(out):
-        if p.requires_grad:
+        if z.requires_grad:
             grad = np.broadcast_to(out.grad * c, (n,))
-            T._accumulate(p, dlog_p(grad * y) + dlog_q(grad * one_minus_y) * -1.0)
+            T._accumulate(z, dsig(dlog_p(grad * y) + dlog_q(grad * one_minus_y) * -1.0))
 
-    return T.node(value, (p,), _bw)
+    return T.node(value, (z,), _bw)
 
 
 @dataclass(frozen=True)

@@ -92,9 +92,9 @@ class ExperimentConfig:
     delta: float = _key("schedule.delta", float, home=(ScheduleParams, "delta"))
     momentum: float = _key("schedule.momentum", float, home=(ScheduleParams, "momentum"))
     lam: float = _key("schedule.lambda", float, home=(ScheduleParams, "lam"))
-    lr_mult_f: float = _key("lr_mult.f", float, 1.0)
-    lr_mult_g: float = _key("lr_mult.g", float, 1.0)
-    lr_mult_d: float = _key("lr_mult.d", float, 1.0)
+    lr_mult_f: float = _key("lr_mult.f", float, 1.0, min=0)
+    lr_mult_g: float = _key("lr_mult.g", float, 1.0, min=0)
+    lr_mult_d: float = _key("lr_mult.d", float, 1.0, min=0)
     batch_size: int = _key("train.batch_size", int, 64, min=1)
     total_steps: int = _key("train.total_steps", int, 3000, min=1)
     seeds: tuple[int, ...] = _key("seeds", _parse_int_list, (0,), min=0)
@@ -111,15 +111,15 @@ class ExperimentConfig:
             raise ConfigError("dataset.source_csv and dataset.target_csv must be given together")
         if not self.f_hidden:
             raise ConfigError("model.f_hidden must list at least one width")
-        if self.source_csv is None:
-            try:
-                self._section(ShiftSpec)
-            except ConfigError as exc:  # name the dotted keys, not the ShiftSpec fields
-                keys = {f.metadata["home"][1]: f.metadata["key"] for f in fields(self) if f.metadata["home"]}
-                raise ConfigError(re.sub(r"\w+", lambda m: keys.get(m[0], m[0]), str(exc))) from None
         if not self.seeds:
             raise ConfigError("seeds must list at least one seed")
-        self.schedule()  # raises ConfigError on bad schedule fields
+        try:
+            if self.source_csv is None:
+                self._section(ShiftSpec)
+            self.schedule()
+        except ConfigError as exc:  # name the dotted keys, not the ShiftSpec or ScheduleParams fields
+            keys = {f.metadata["home"][1]: f.metadata["key"] for f in fields(self) if f.metadata["home"]}
+            raise ConfigError(re.sub(r"\w+", lambda m: keys.get(m[0], m[0]), str(exc))) from None
         return self
 
     def _section(self, cls, **extra):

@@ -2,7 +2,7 @@
 
 All three are plain MLPs over the tensor tape. G emits softmax probabilities
 (the rows that enter both the conditioning map and the entropy weights); D
-emits a per-row probability of "source" through a sigmoid head.
+emits a per-row logit of "source", whose sigmoid head its loss applies.
 """
 
 from __future__ import annotations
@@ -110,14 +110,9 @@ def forward_G(bundle: ModelBundle, f: Tensor) -> tuple[Tensor, Tensor]:
     return logits, T.softmax_rows(logits)
 
 
-def forward_sigmoid(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
-    """Rows -> per-row probability in (0, 1), shape (n,), of a one-unit MLP."""
-    return T.sigmoid(T.mlp(x, layers))
-
-
 def forward_D(bundle: ModelBundle, conditioned: Tensor) -> Tensor:
-    """Conditioned rows -> per-row source probability in (0, 1), shape (n,)."""
-    return forward_sigmoid(bundle.layers_d, conditioned)
+    """Conditioned rows -> per-row source logit, shape (n, 1), before the sigmoid head."""
+    return T.mlp(conditioned, bundle.layers_d)
 
 
 def save_model(bundle: ModelBundle, path, extra_arrays: dict[str, np.ndarray] | None = None,
@@ -128,7 +123,7 @@ def save_model(bundle: ModelBundle, path, extra_arrays: dict[str, np.ndarray] | 
             arrays[f"{tag}.{i}.W"] = w.data
             arrays[f"{tag}.{i}.b"] = b.data
     arrays.update(extra_arrays or {})
-    # The heads that forward_F, forward_G and forward_D apply, as model.txt has always named them.
+    # The heads of F, G and D (D's sigmoid is applied by its loss), as model.txt has always named them.
     full_meta = {"F.head": "linear", "G.head": "softmax", "D.head": "sigmoid"}
     full_meta.update(meta or {})
     serialize.write_arrays(path, arrays, meta=full_meta)

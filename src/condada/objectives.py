@@ -97,10 +97,11 @@ def _neg_log_mean(probs: np.ndarray, weights: Tensor | None):
     return value, lambda g: dlog(-(np.broadcast_to(g / w_sum, neg.shape) * w))
 
 
-def adversarial_losses(d_src: Tensor, d_tgt: Tensor,
+def adversarial_losses(z_src: Tensor, z_tgt: Tensor,
                        weights_src: Tensor | None = None,
                        weights_tgt: Tensor | None = None) -> Tensor:
-    """Weighted discriminator loss -mean_w log d_src - mean_w log(1 - d_tgt).
+    """Weighted discriminator loss -mean_w log d_src - mean_w log(1 - d_tgt) of
+    D's (n, 1) logits z, through its sigmoid head d = clipped_sigmoid(z).
 
     Weighted means are normalized by the batch weight sum, so rescaling all
     weights leaves the loss unchanged. The weights are constants. The one
@@ -108,16 +109,18 @@ def adversarial_losses(d_src: Tensor, d_tgt: Tensor,
     through gradient reversal, it is also the adversarial quantity that F and
     G ascend.
     """
-    src_value, src_bw = _neg_log_mean(d_src.data, weights_src)
-    tgt_value, tgt_bw = _neg_log_mean(1.0 - d_tgt.data, weights_tgt)
+    d_src, dsig_src = T.clipped_sigmoid(z_src.data)
+    d_tgt, dsig_tgt = T.clipped_sigmoid(z_tgt.data)
+    src_value, src_bw = _neg_log_mean(d_src, weights_src)
+    tgt_value, tgt_bw = _neg_log_mean(1.0 - d_tgt, weights_tgt)
 
     def _bw(out):
-        if d_src.requires_grad:
-            T._accumulate(d_src, src_bw(out.grad))
-        if d_tgt.requires_grad:
-            T._accumulate(d_tgt, -tgt_bw(out.grad))
+        if z_src.requires_grad:
+            T._accumulate(z_src, dsig_src(src_bw(out.grad)))
+        if z_tgt.requires_grad:
+            T._accumulate(z_tgt, dsig_tgt(-tgt_bw(out.grad)))
 
-    return T.node(src_value + tgt_value, (d_src, d_tgt), _bw)
+    return T.node(src_value + tgt_value, (z_src, z_tgt), _bw)
 
 
 def cdan_step_losses(x_src: np.ndarray, y_src: np.ndarray, x_tgt: np.ndarray,
@@ -143,10 +146,10 @@ def cdan_step_losses(x_src: np.ndarray, y_src: np.ndarray, x_tgt: np.ndarray,
 
     h_src = C.condition(f_src, g_src, strategy, proj)
     h_tgt = C.condition(f_tgt, g_tgt, strategy, proj)
-    d_src = N.forward_D(bundle, T.gradient_reversal(h_src, lambda_eff))
-    d_tgt = N.forward_D(bundle, T.gradient_reversal(h_tgt, lambda_eff))
+    z_src = N.forward_D(bundle, T.gradient_reversal(h_src, lambda_eff))
+    z_tgt = N.forward_D(bundle, T.gradient_reversal(h_tgt, lambda_eff))
 
-    loss_d = adversarial_losses(d_src, d_tgt, w_src, w_tgt)
+    loss_d = adversarial_losses(z_src, z_tgt, w_src, w_tgt)
     objective = T.add(cls, loss_d)
 
     weights = None

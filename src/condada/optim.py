@@ -34,7 +34,7 @@ class ScheduleParams:
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+            raise ConfigError(f"lam must be >= 0, got {self.lam}")
 
 
 def _check_progress(p: float) -> float:

@@ -11,13 +11,13 @@ graph holds no reference cycles: reference counting frees it as soon as the
 last reference to its loss goes.
 
 This module holds only the ops the package calls. Fused ops (:func:`mlp`, a
-network pass; the one-unit :func:`sigmoid` head; and the nodes that
-``conditioning``, ``objectives`` and ``analysis`` build with :func:`node`)
-record one node where a chain of elementary ops (matmul, mul, log, ...)
-would be, computing the chain's numpy expressions in its order, bit for bit;
-the elementary ops live with the tests, as the reference chains. Inside
-``with no_tape():`` ops compute values only and record nothing; evaluation
-forwards run that way.
+network pass, and the nodes that ``conditioning``, ``objectives`` and
+``analysis`` build with :func:`node`; the two that read a sigmoid head take
+its logits through :func:`clipped_sigmoid`) record one node where a chain of
+elementary ops (matmul, mul, log, ...) would be, computing the chain's numpy
+expressions in its order, bit for bit; the elementary ops live with the
+tests, as the reference chains. Inside ``with no_tape():`` ops compute
+values only and record nothing; evaluation forwards run that way.
 
 No higher-order gradients, no in-place graph mutation: build a fresh graph
 per training step.
@@ -46,6 +46,21 @@ def clamped_log(p: np.ndarray):
     The mask is computed only when ``dlog`` is called."""
     clamped = np.maximum(p, LOG_CLAMP)
     return np.log(clamped), lambda g: g * (p > LOG_CLAMP) / clamped
+
+
+def clipped_sigmoid(z: np.ndarray):
+    """(p, dsig): the sigmoid head of a one-unit network, (n, 1) logits to (n,)
+    probabilities, numerically stable and clipped like the log clamp, so that a
+    saturated head emits LOG_CLAMP or 1 - LOG_CLAMP rather than exactly 0 or 1.
+    ``dsig(g) = g * p * (1 - p)`` maps an (n,) gradient with respect to ``p`` to
+    the (n, 1) gradient with respect to ``z``. Not a tape op: the loss nodes of
+    D and of the probe call it."""
+    if z.ndim != 2 or z.shape[1] != 1:
+        raise ValueError(f"sigmoid head expects (n, 1) logits, got shape {z.shape}")
+    e = np.exp(-np.abs(z))
+    p = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    p = np.clip(p, LOG_CLAMP, 1.0 - LOG_CLAMP)
+    return p.reshape(z.shape[0]), lambda g: g.reshape(z.shape) * p * (1.0 - p)
 
 
 class Tensor:
@@ -207,27 +222,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 _accumulate(t, gt.copy() if gt is g else gt)
 
     return node(out_data, (a, b), _bw)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    """The sigmoid head of a one-unit network: (n, 1) logits to (n,)
-    probabilities, numerically stable and clamped into (0, 1).
-
-    The clamp mirrors the log clamp: a saturated discriminator emits
-    probabilities at distance LOG_CLAMP from {0, 1} rather than exactly on them.
-    """
-    x = a.data
-    if x.ndim != 2 or x.shape[1] != 1:
-        raise ValueError(f"sigmoid head expects (n, 1) logits, got shape {a.shape}")
-    e = np.exp(-np.abs(x))
-    out_data = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out_data = np.clip(out_data, LOG_CLAMP, 1.0 - LOG_CLAMP)
-
-    def _bw(out):
-        if a.requires_grad:
-            _accumulate(a, out.grad.reshape(a.shape) * out_data * (1.0 - out_data))
-
-    return node(out_data.reshape(x.shape[0]), (a,), _bw)
 
 
 def softmax_rows(a: Tensor) -> Tensor:

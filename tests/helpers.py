@@ -142,8 +142,15 @@ def l2_normalize_rows(a: T.Tensor, eps: float = 1e-24) -> T.Tensor:
     return div(a, reshape(norm, (a.shape[0], 1)))
 
 
+def sigmoid_head(z: T.Tensor) -> T.Tensor:
+    """``tensor.clipped_sigmoid`` of (n, 1) logits as a node of its own, the
+    way D's and the probe's loss nodes apply it inside themselves."""
+    p, dsig = T.clipped_sigmoid(z.data)
+    return T.node(p, (z,), lambda out: T._accumulate(z, dsig(out.grad)))
+
+
 def sigmoid(a: T.Tensor) -> T.Tensor:
-    """Elementwise: the sigmoid head before its reshape to (n,)."""
+    """Elementwise: the sigmoid head's reference chain, before its reshape to (n,)."""
     e = np.exp(-np.abs(a.data))
     out_data = np.where(a.data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     out_data = np.clip(out_data, T.LOG_CLAMP, 1.0 - T.LOG_CLAMP)

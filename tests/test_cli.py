@@ -1,15 +1,21 @@
 """CLI verbs, flag/file overrides, exit codes, and the process's BLAS threads."""
 
+import contextlib
+import io
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import condada.analysis
 from condada.cli import main
+from condada.config import KEYS
 from condada.datagen import LabeledSet, save_csv
 
 
@@ -97,6 +103,75 @@ def test_config_flag_error_names_the_flag(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: --schedule.eta0: ") and len(err.strip().splitlines()) == 1
+
+
+def _rejects(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except (ValueError, TypeError):
+        return True
+    return False
+
+
+def bad_values(key: str):
+    """Values of ``key`` that its parser, its ``choices`` or its ``min`` rejects."""
+    meta = KEYS[key].metadata
+    parse, options = meta["parse"], []
+    if parse is not str:
+        options.append(st.text(max_size=12).filter(lambda s: _rejects(parse, s)))
+    if "choices" in meta:
+        options.append(st.text(max_size=12).filter(lambda s: s not in meta["choices"]))
+    if "min" in meta:
+        low = meta["min"]
+        if parse is float:
+            below = st.floats(max_value=low, allow_nan=False).filter(lambda v: v < low).map(repr)
+        else:  # an int or an int list, whose every entry is checked
+            below = st.tuples(st.sampled_from(["{}", "8,{}"]), st.integers(-10**6, low - 1)).map(
+                lambda t: t[0].format(t[1]))
+        options.append(below)
+    if key in ("dataset.source_csv", "dataset.target_csv"):
+        options.append(st.text(max_size=12))  # given without its pair
+    return st.one_of(options)
+
+
+def assert_config_error_names(key: str, value: str) -> None:
+    """``run`` with ``--key=value`` and one training step exits 2 with one
+    stderr line that names the key, no traceback and no run directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--train.total_steps", "1", f"--{key}={value}", "--seed", "0", "--out", out_dir])
+        lines = err.getvalue().strip().splitlines()
+        assert code == 2, (key, value, lines)
+        assert len(lines) == 1 and key in lines[0], (key, value, lines)
+        assert "Traceback" not in err.getvalue()
+        assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize("key", sorted(KEYS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_a_bad_value_of_any_key_exits_2_naming_the_key(key, data):
+    assert_config_error_names(key, data.draw(bad_values(key), label="value"))
+
+
+# Bounds that a sub-spec's __post_init__ checks, not the key's own metadata.
+SUB_SPEC_BOUNDS = [
+    ("schedule.eta0", "0"),
+    ("schedule.alpha", "-1"),
+    ("schedule.beta", "-0.5"),
+    ("schedule.delta", "0"),
+    ("schedule.momentum", "1"),
+    ("schedule.momentum", "-0.1"),
+    ("schedule.lambda", "-1"),
+    ("dataset.classes", "1"),
+]
+
+
+@pytest.mark.parametrize("key,value", SUB_SPEC_BOUNDS)
+def test_a_value_beyond_a_sub_spec_bound_exits_2_naming_the_key(key, value):
+    assert_config_error_names(key, value)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -87,6 +87,14 @@ def test_validation_rejects_bad_fields():
         config_from_pairs({"model.f_hidden": ""})
 
 
+@pytest.mark.parametrize("player", ["f", "g", "d"])
+def test_a_learning_rate_multiplier_is_at_least_zero(player):
+    # Below 0 a player would ascend its own loss; 0 freezes it and stays legal.
+    assert getattr(config_from_pairs({f"lr_mult.{player}": "0"}), f"lr_mult_{player}") == 0.0
+    with pytest.raises(ConfigError, match=rf"^lr_mult\.{player} must be >= 0, got -1\.0$"):
+        config_from_pairs({f"lr_mult.{player}": "-1"})
+
+
 def test_csv_paths_must_come_together():
     with pytest.raises(ConfigError, match="together"):
         config_from_pairs({"dataset.source_csv": "a.csv"})

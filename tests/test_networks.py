@@ -65,7 +65,9 @@ def test_zero_weight_classifier_head_predicts_uniform():
 def test_discriminator_output_strictly_inside_unit_interval():
     bundle = small_bundle()
     rows = np.random.default_rng(3).standard_normal((1000, 24)) * 5
-    d = N.forward_D(bundle, Tensor(rows)).data
+    z = N.forward_D(bundle, Tensor(rows)).data
+    assert z.shape == (1000, 1)
+    d, _ = T.clipped_sigmoid(z)  # the head that D's loss applies
     assert d.shape == (1000,)
     assert np.all(d > 0.0) and np.all(d < 1.0)
 

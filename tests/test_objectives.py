@@ -99,35 +99,37 @@ def test_entropy_weight_range_on_simplex_rows(raw):
 
 
 def test_adversarial_loss_at_half_is_2_log_2():
-    d = Tensor(np.full(6, 0.5))
-    loss = O.adversarial_losses(d, d)
+    z = Tensor(np.zeros((6, 1)))  # logit 0: d = 0.5
+    loss = O.adversarial_losses(z, z)
     assert loss.item() == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
 def test_adversarial_loss_vanishes_for_perfect_discriminator():
-    loss = O.adversarial_losses(Tensor(np.full(6, 1.0 - 1e-12)), Tensor(np.full(6, 1e-12)))
+    # Logits of +-40 put d on the clip: 1 - 1e-12 on source rows, 1e-12 on target rows.
+    loss = O.adversarial_losses(Tensor(np.full((6, 1), 40.0)), Tensor(np.full((6, 1), -40.0)))
     assert 0.0 <= loss.item() < 1e-9
 
 
 def test_weighted_mean_matches_brute_force_and_ignores_weight_scale():
     rng = np.random.default_rng(5)
-    d_src = rng.uniform(0.1, 0.9, 10)
-    d_tgt = rng.uniform(0.1, 0.9, 10)
+    z_src = rng.uniform(-2.2, 2.2, (10, 1))
+    z_tgt = rng.uniform(-2.2, 2.2, (10, 1))
     w_src = rng.uniform(1.0, 2.0, 10)
     w_tgt = rng.uniform(1.0, 2.0, 10)
 
-    loss = O.adversarial_losses(Tensor(d_src), Tensor(d_tgt), Tensor(w_src), Tensor(w_tgt))
+    loss = O.adversarial_losses(Tensor(z_src), Tensor(z_tgt), Tensor(w_src), Tensor(w_tgt))
+    d_src, d_tgt = 1.0 / (1.0 + np.exp(-z_src[:, 0])), 1.0 / (1.0 + np.exp(-z_tgt[:, 0]))
     brute = (-(w_src * np.log(d_src)).sum() / w_src.sum()
              - (w_tgt * np.log(1.0 - d_tgt)).sum() / w_tgt.sum())
     assert loss.item() == pytest.approx(brute, abs=1e-12)
 
-    doubled = O.adversarial_losses(Tensor(d_src), Tensor(d_tgt), Tensor(2 * w_src), Tensor(2 * w_tgt))
+    doubled = O.adversarial_losses(Tensor(z_src), Tensor(z_tgt), Tensor(2 * w_src), Tensor(2 * w_tgt))
     assert doubled.item() == loss.item()
 
 
 def test_weight_length_mismatch():
     with pytest.raises(ValueError, match="weight shape"):
-        O.adversarial_losses(Tensor(np.full(4, 0.5)), Tensor(np.full(4, 0.5)),
+        O.adversarial_losses(Tensor(np.zeros((4, 1))), Tensor(np.zeros((4, 1))),
                              Tensor(np.ones(3)), None)
 
 
@@ -204,9 +206,9 @@ def test_feature_only_strategy_reproduces_plain_domain_adversary():
 
     f_src = N.forward_F(bundle, Tensor(x_src))
     f_tgt = N.forward_F(bundle, Tensor(x_tgt))
-    d_src = N.forward_D(bundle, f_src)
-    d_tgt = N.forward_D(bundle, f_tgt)
-    expected = (-np.log(d_src.data).mean() - np.log(1.0 - d_tgt.data).mean())
+    d_src, _ = T.clipped_sigmoid(N.forward_D(bundle, f_src).data)
+    d_tgt, _ = T.clipped_sigmoid(N.forward_D(bundle, f_tgt).data)
+    expected = (-np.log(d_src).mean() - np.log(1.0 - d_tgt).mean())
     assert out.discriminator_loss == pytest.approx(expected, abs=1e-12)
 
 

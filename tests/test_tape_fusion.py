@@ -159,11 +159,11 @@ def test_mlp_passes_a_non_finite_preactivation_on(bad):
 ])
 def test_sigmoid_head_matches_sigmoid_then_reshape(z):
     n = z.shape[0]
-    run_both(T.sigmoid, lambda t: H.reshape(H.sigmoid(t), (n,)), [z])
+    run_both(H.sigmoid_head, lambda t: H.reshape(H.sigmoid(t), (n,)), [z])
 
 
 def test_saturated_sigmoid_head_sits_on_the_clamp():
-    p = T.sigmoid(Tensor(np.array([[-1e3], [1e3]]))).data
+    p, _ = T.clipped_sigmoid(np.array([[-1e3], [1e3]]))
     np.testing.assert_array_equal(p, [T.LOG_CLAMP, 1.0 - T.LOG_CLAMP])
 
 
@@ -233,8 +233,8 @@ def recorded_nodes(root):
 
 
 @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
-def test_randomized_cdan_e_step_records_17_nodes(normalize):
-    assert recorded_nodes(randomized_step("gaussian", normalize)[1]) == 17
+def test_randomized_cdan_e_step_records_15_nodes(normalize):
+    assert recorded_nodes(randomized_step("gaussian", normalize)[1]) == 15
 
 
 def test_multilinear_map_shape_error_names_both_shapes():
@@ -266,7 +266,11 @@ def weighted_mean_chain(values, weights):
     return H.div(H.tsum(H.mul(values, weights)), H.tsum(weights))
 
 
-def adversarial_chain(d_src, d_tgt, w_src, w_tgt):
+def adversarial_chain(z_src, z_tgt, w_src, w_tgt):
+    """The op chain that one ``O.adversarial_losses`` node replaces, sigmoid
+    heads included."""
+    d_src = H.reshape(H.sigmoid(z_src), (z_src.shape[0],))
+    d_tgt = H.reshape(H.sigmoid(z_tgt), (z_tgt.shape[0],))
     loss_src = weighted_mean_chain(H.scale(H.log(d_src), -1.0), w_src)
     one_minus = T.add(H.scale(d_tgt, -1.0), Tensor(np.ones(d_tgt.shape)))
     loss_tgt = weighted_mean_chain(H.scale(H.log(one_minus), -1.0), w_tgt)
@@ -278,14 +282,14 @@ def adversarial_chain(d_src, d_tgt, w_src, w_tgt):
 def test_adversarial_losses_match_their_op_chain(weighted, case):
     rng = np.random.default_rng(len(case) + weighted)
     n = 1 if case == "one_row" else 9
-    d_src = rng.uniform(0.05, 0.95, n)
-    d_tgt = rng.uniform(0.05, 0.95, n)
-    if case == "saturated":
-        d_src[:3] = [T.LOG_CLAMP, 1e-14, 1.0 - T.LOG_CLAMP]
-        d_tgt[:3] = [1.0 - T.LOG_CLAMP, 1.0 - 1e-14, T.LOG_CLAMP]
+    z_src = rng.uniform(-3.0, 3.0, (n, 1))
+    z_tgt = rng.uniform(-3.0, 3.0, (n, 1))
+    if case == "saturated":  # beyond the clip: both heads sit on LOG_CLAMP or 1 - LOG_CLAMP
+        z_src[:3, 0] = [-40.0, -1e3, 40.0]
+        z_tgt[:3, 0] = [40.0, 1e3, -40.0]
     weights = [Tensor(rng.uniform(1.0, 2.0, n)), Tensor(rng.uniform(1.0, 2.0, n))] if weighted else [None, None]
     run_both(lambda s, t: O.adversarial_losses(s, t, *weights),
-             lambda s, t: adversarial_chain(s, t, *weights), [d_src, d_tgt])
+             lambda s, t: adversarial_chain(s, t, *weights), [z_src, z_tgt])
 
 
 def test_entropy_weights_match_their_op_chain():
@@ -300,9 +304,10 @@ def test_entropy_weights_match_their_op_chain():
     assert_same(O.entropy_weight(h).data, w_chain.data)
 
 
-def probe_loss_chain(p, y):
-    """The op chain that one ``A._probe_loss`` node replaces."""
-    n = p.shape[0]
+def probe_loss_chain(z, y):
+    """The op chain that one ``A._probe_loss`` node replaces, sigmoid head included."""
+    n = z.shape[0]
+    p = H.reshape(H.sigmoid(z), (n,))
     one_minus_p = T.add(H.scale(p, -1.0), Tensor(np.ones(n)))
     ll = T.add(H.mul(Tensor(y), H.log(p)), H.mul(Tensor(1.0 - y), H.log(one_minus_p)))
     return H.scale(H.tsum(ll), -1.0 / n)
@@ -312,11 +317,11 @@ def probe_loss_chain(p, y):
 def test_probe_loss_matches_its_op_chain(case):
     rng = np.random.default_rng(len(case))
     n = 1 if case == "one_row" else 10
-    p = rng.uniform(0.05, 0.95, n)
+    z = rng.uniform(-3.0, 3.0, (n, 1))
     y = (np.arange(n) % 2).astype(np.float64)
-    if case == "clamped":
-        p[:4] = [T.LOG_CLAMP, T.LOG_CLAMP, 1.0 - T.LOG_CLAMP, 1.0 - T.LOG_CLAMP]  # y = 0, 1, 0, 1
-    run_both(lambda p: A._probe_loss(p, y, 1.0 - y), lambda p: probe_loss_chain(p, y), [p])
+    if case == "clamped":  # p = LOG_CLAMP, LOG_CLAMP, 1 - LOG_CLAMP, 1 - LOG_CLAMP against y = 0, 1, 0, 1
+        z[:4, 0] = [-40.0, -1e3, 40.0, 1e3]
+    run_both(lambda z: A._probe_loss(z, y, 1.0 - y), lambda z: probe_loss_chain(z, y), [z])
 
 
 # --- tape memory behaviour -----------------------------------------------------
@@ -434,8 +439,10 @@ def test_evaluation_forwards_record_no_backward(monkeypatch, tmp_path):
 
 
 def test_a_distance_probe_tapes_training_forwards_only(monkeypatch):
-    probs = recorded_outputs(monkeypatch, N, "forward_sigmoid")
+    logits = recorded_outputs(monkeypatch, T, "mlp")
+    losses = recorded_outputs(monkeypatch, A, "_probe_loss")
     rng = np.random.default_rng(2)
     A.proxy_a_distance(rng.standard_normal((40, 3)), rng.standard_normal((40, 3)) + 1.0, seed=0)
-    taped = [p._backward is not None for p in probs]
+    taped = [z._backward is not None for z in logits]
     assert taped == [True] * A._ADIST_EPOCHS + [False, False]
+    assert [recorded_nodes(loss) for loss in losses] == [2] * A._ADIST_EPOCHS  # the mlp and the loss

@@ -188,7 +188,7 @@ UNARY_OPS = [
     ("log", H.log, lambda r: r.uniform(0.2, 3.0, (3, 4))),
     ("exp", H.exp, lambda r: r.standard_normal((3, 4))),
     ("sqrt", H.sqrt, lambda r: r.uniform(0.5, 4.0, (3, 4))),
-    ("sigmoid", T.sigmoid, lambda r: r.standard_normal((12, 1)) * 3),
+    ("sigmoid", H.sigmoid_head, lambda r: r.standard_normal((12, 1)) * 3),
     ("softmax", T.softmax_rows, lambda r: r.standard_normal((3, 4)) * 2),
     ("reshape", lambda t: H.reshape(t, (4, 3)), lambda r: r.standard_normal((3, 4))),
     ("sum_all", lambda t: H.tsum(t), lambda r: r.standard_normal((3, 4))),
@@ -272,7 +272,7 @@ def test_identical_seeds_give_bit_identical_gradients():
         rng = np.random.default_rng(123)
         w = Tensor(rng.standard_normal((4, 1)), requires_grad=True)
         x = Tensor(rng.standard_normal((2, 4)))
-        T.backward(H.tsum(T.sigmoid(H.matmul(x, w))))
+        T.backward(H.tsum(H.sigmoid_head(H.matmul(x, w))))
         return w
 
     w1, w2 = build(), build()
@@ -288,7 +288,7 @@ def test_rank_three_rejected():
 def test_sigmoid_head_rejects_all_but_one_unit_logits():
     for shape in [(3,), (3, 2)]:
         with pytest.raises(ValueError, match="sigmoid head"):
-            T.sigmoid(Tensor(np.zeros(shape)))
+            T.clipped_sigmoid(np.zeros(shape))
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "condada"
@@ -315,18 +315,27 @@ def tensor_references(tree: ast.Module, own_module: bool):
                 yield names.get(node.id, node.id), owner
 
 
-def test_np_log_is_taken_only_in_clamped_log():
-    # Every loss takes its logs through tensor.clamped_log, so the clamp's rows
-    # change in one place. analysis.entropy_exp_neg keeps its own 1e-300 floor
-    # until the saturation fix merges it into objectives.entropy: the merge
-    # moves the mean_w_* columns of metrics.csv.
+# Each floor lives in one place, so the saturation fix edits its rows there:
+# every loss takes its logs through tensor.clamped_log, and D's and the
+# probe's loss take their sigmoid head's clip through tensor.clipped_sigmoid.
+# analysis.entropy_exp_neg keeps its own 1e-300 floor until the saturation fix
+# merges it into objectives.entropy: the merge moves the mean_w_* columns of
+# metrics.csv.
+FLOOR_CALL_SITES = {
+    "log": [("analysis.py", "entropy_exp_neg"), ("tensor.py", "clamped_log")],
+    "clip": [("tensor.py", "clipped_sigmoid")],
+}
+
+
+@pytest.mark.parametrize("call", FLOOR_CALL_SITES, ids=[f"np.{c}" for c in FLOOR_CALL_SITES])
+def test_floor_calls_are_taken_only_at_their_sites(call):
     sites = []
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             sites += [(path.name, getattr(stmt, "name", None)) for node in ast.walk(stmt)
-                      if isinstance(node, ast.Attribute) and node.attr == "log"
+                      if isinstance(node, ast.Attribute) and node.attr == call
                       and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
-    assert sites == [("analysis.py", "entropy_exp_neg"), ("tensor.py", "clamped_log")]
+    assert sites == FLOOR_CALL_SITES[call]
 
 
 def test_repr_is_taken_only_in_the_csv_fallback_and_the_metrics_cell():
