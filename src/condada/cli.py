@@ -32,6 +32,18 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{key}", dest=f"cfgkey::{key}", metavar="VALUE", help=argparse.SUPPRESS)
 
 
+def _bind_config_values(argv: list[str]) -> list[str]:
+    """``--key value`` -> ``--key=value`` for every config key, so that a value
+    starting with ``-`` (``--dataset.translation -2,0``) is not read as a flag."""
+    bound: list[str] = []
+    for token in argv:
+        if bound and bound[-1].startswith("--") and bound[-1][2:] in KEYS and not token.startswith("--"):
+            bound[-1] += f"={token}"
+        else:
+            bound.append(token)
+    return bound
+
+
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     flags = {key: getattr(args, f"cfgkey::{key}", None) for key in KEYS}
     return load_config(args.config, {key: value for key, value in flags.items() if value is not None})
@@ -89,7 +101,7 @@ def _cmd_export_features(args) -> int:
         raise ConfigError(f"model file does not exist: {model_path}")
     bundle, _, _ = N.load_model(model_path)
     src, tgt = cfg.make_dataset(args.seed)
-    for tag, saved, wanted in zip("FGD", (bundle.spec_f, bundle.spec_g, bundle.spec_d), cfg.model_specs(src.dim)):
+    for tag, saved, wanted in zip("FGD", bundle.specs(), cfg.model_specs(src.dim)):
         if saved != wanted:
             raise ConfigError(f"{model_path}: network {tag} has widths {saved.widths}, "
                               f"the config gives {wanted.widths}")
@@ -138,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_config_values(sys.argv[1:] if argv is None else argv))
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed: must be >= 0, got {args.seed}")

@@ -7,6 +7,7 @@ sub-specs derive from it."""
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field, fields
@@ -66,15 +67,15 @@ class ExperimentConfig:
     n_classes: int = _key("dataset.classes", int, home=(ShiftSpec, "n_classes"))
     n_source: int = _key("dataset.n_source", int, home=(ShiftSpec, "n_source"))
     n_target: int = _key("dataset.n_target", int, home=(ShiftSpec, "n_target"))
-    noise: float | None = _key("dataset.noise", float, home=(ShiftSpec, "noise"))
-    radius: float = _key("dataset.radius", float, home=(ShiftSpec, "radius"))
+    noise: float | None = _key("dataset.noise", float, home=(ShiftSpec, "noise"), min=0)
+    radius: float = _key("dataset.radius", float, home=(ShiftSpec, "radius"), min=0)
     rotation_deg: float | tuple[float, ...] | None = _key(
         "dataset.rotation_deg", _parse_rotation, home=(ShiftSpec, "rotation_deg"))
     translation: tuple[float, float] = _key("dataset.translation", _parse_pair, home=(ShiftSpec, "translation"))
     class_angles_deg: tuple[float, ...] | None = _key(
         "dataset.class_angles", _parse_float_list, home=(ShiftSpec, "class_angles_deg"))
     class_scales: tuple[float, ...] | None = _key(
-        "dataset.class_scales", _parse_float_list, home=(ShiftSpec, "class_scales"))
+        "dataset.class_scales", _parse_float_list, home=(ShiftSpec, "class_scales"), min=0)
     source_csv: str | None = _key("dataset.source_csv", str)
     target_csv: str | None = _key("dataset.target_csv", str)
     f_hidden: tuple[int, ...] = _key("model.f_hidden", _parse_int_list, (64, 64), min=1)
@@ -104,7 +105,10 @@ class ExperimentConfig:
             meta, value = f.metadata, getattr(self, f.name)
             if "choices" in meta and value not in meta["choices"]:
                 raise ConfigError(f"{meta['key']} must be one of {meta['choices']}, got {value!r}")
-            values = value if isinstance(value, tuple) else (value,)  # a list checks each entry
+            # a list checks each entry; None (a generator's default) checks nothing
+            values = value if isinstance(value, tuple) else () if value is None else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{meta['key']} must be finite, got {value}")
             if "min" in meta and any(v < meta["min"] for v in values):
                 raise ConfigError(f"{meta['key']} must be >= {meta['min']}, got {value}")
         if (self.source_csv is None) != (self.target_csv is None):
@@ -149,10 +153,9 @@ class ExperimentConfig:
         d_f = self.f_hidden[-1]
         strategy = self.resolve_strategy()
         cond_dim = C.conditioned_dim(strategy, d_f, self.n_classes)
-        spec_f = MlpSpec((input_dim,) + self.f_hidden)
-        spec_g = MlpSpec((d_f, self.n_classes))
-        spec_d = MlpSpec((cond_dim,) + self.d_hidden + (1,))
-        return spec_f, spec_g, spec_d
+        return (MlpSpec((input_dim,) + self.f_hidden),
+                MlpSpec((d_f, self.n_classes)),
+                MlpSpec((cond_dim,) + self.d_hidden + (1,)))
 
     def resolve_strategy(self) -> C.ConditioningStrategy:
         tag = self.strategy

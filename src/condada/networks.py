@@ -43,20 +43,23 @@ class MlpSpec:
 
 @dataclass
 class ModelBundle:
-    spec_f: MlpSpec
-    spec_g: MlpSpec
-    spec_d: MlpSpec
-    layers_f: list[tuple[Tensor, Tensor]] = field(repr=False, default_factory=list)
-    layers_g: list[tuple[Tensor, Tensor]] = field(repr=False, default_factory=list)
-    layers_d: list[tuple[Tensor, Tensor]] = field(repr=False, default_factory=list)
+    """The three players' (W, b) layers; every width is read off their shapes."""
+
+    layers_f: list[tuple[Tensor, Tensor]] = field(repr=False)
+    layers_g: list[tuple[Tensor, Tensor]] = field(repr=False)
+    layers_d: list[tuple[Tensor, Tensor]] = field(repr=False)
 
     @property
     def d_f(self) -> int:
-        return self.spec_f.output_dim
+        return self.layers_f[-1][0].data.shape[1]
 
     @property
     def d_g(self) -> int:
-        return self.spec_g.output_dim
+        return self.layers_g[-1][0].data.shape[1]
+
+    def specs(self) -> tuple[MlpSpec, MlpSpec, MlpSpec]:
+        return tuple(MlpSpec((layers[0][0].data.shape[0],) + tuple(w.data.shape[1] for w, _ in layers))
+                     for layers in (self.layers_f, self.layers_g, self.layers_d))
 
     def params_f(self) -> list[Tensor]:
         return [t for pair in self.layers_f for t in pair]
@@ -90,9 +93,6 @@ def init_model(spec_f: MlpSpec, spec_g: MlpSpec, spec_d: MlpSpec, seed: int) -> 
     if spec_d.output_dim != 1:
         raise ConfigError(f"discriminator must end in a single unit, got {spec_d.output_dim}")
     return ModelBundle(
-        spec_f=spec_f,
-        spec_g=spec_g,
-        spec_d=spec_d,
         layers_f=init_layers(spec_f, np.random.default_rng([seed, _STREAM_F])),
         layers_g=init_layers(spec_g, np.random.default_rng([seed, _STREAM_G])),
         layers_d=init_layers(spec_d, np.random.default_rng([seed, _STREAM_D])),
@@ -141,30 +141,24 @@ def load_model(path) -> tuple[ModelBundle, dict[str, np.ndarray], dict[str, str]
             grouped[parts[0]].setdefault(int(parts[1]), {})[parts[2]] = arr
         else:
             extras[name] = arr
-    specs = {}
     for tag, by_index in grouped.items():
         missing = [i for i in range(len(by_index)) if i not in by_index]
         if missing:
             raise ValueError(f"{path}: network {tag} lacks layer {tag}.{missing[0]}")
         layers = []
-        widths = []
         for i in sorted(by_index):
             if len(by_index[i]) != 2:
                 raise ValueError(f"{path}: layer {tag}.{i} needs both its W and its b array")
             w, b = by_index[i]["W"], by_index[i]["b"]
-            if w.ndim != 2 or b.shape != w.shape[1:] or (widths and w.shape[0] != widths[-1]):
+            rows = layers[-1][0].data.shape[1] if layers else None  # the previous layer's width
+            if w.ndim != 2 or 0 in w.shape or b.shape != w.shape[1:] or rows not in (None, w.shape[0]):
                 raise ValueError(f"{path}: layer {tag}.{i} has W of shape {w.shape} and b of shape {b.shape}, "
-                                 f"expected ({widths[-1] if widths else 'm'}, n) and (n,)")
-            if not widths:
-                widths.append(w.shape[0])
-            widths.append(w.shape[1])
+                                 f"expected ({rows or 'm'}, n) and (n,), each width >= 1")
             layers.append((Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)))
         if not layers:
             raise ValueError(f"{path}: no layers found for network {tag}")
         layers_by_tag[tag] = layers
-        specs[tag] = MlpSpec(tuple(widths))
     bundle = ModelBundle(
-        spec_f=specs["F"], spec_g=specs["G"], spec_d=specs["D"],
         layers_f=layers_by_tag["F"], layers_g=layers_by_tag["G"], layers_d=layers_by_tag["D"],
     )
     return bundle, extras, meta

@@ -87,8 +87,7 @@ def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
         raise ConfigError("target set is empty")
 
     strategy = cfg.resolve_strategy()
-    spec_f, spec_g, spec_d = cfg.model_specs(src.dim)
-    bundle = N.init_model(spec_f, spec_g, spec_d, seed)
+    bundle = N.init_model(*cfg.model_specs(src.dim), seed)
     proj = None
     if strategy.tag == C.RANDOMIZED_MULTILINEAR:
         proj = C.sample_projection(strategy.d, bundle.d_f, bundle.d_g, strategy.sampler,

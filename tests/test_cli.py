@@ -114,7 +114,8 @@ def _rejects(parse, text: str) -> bool:
 
 
 def bad_values(key: str):
-    """Values of ``key`` that its parser, its ``choices`` or its ``min`` rejects."""
+    """Values of ``key`` that its parser, its ``choices``, its ``min`` or the
+    finiteness of its floats rejects."""
     meta = KEYS[key].metadata
     parse, options = meta["parse"], []
     if parse is not str:
@@ -129,6 +130,9 @@ def bad_values(key: str):
             below = st.tuples(st.sampled_from(["{}", "8,{}"]), st.integers(-10**6, low - 1)).map(
                 lambda t: t[0].format(t[1]))
         options.append(below)
+    if "float" in KEYS[key].type:  # a non-finite number, alone or as a list's second entry
+        options.append(st.tuples(st.sampled_from(["{}", "0,{}"]), st.sampled_from(["nan", "inf", "-inf"])).map(
+            lambda t: t[0].format(t[1])))
     if key in ("dataset.source_csv", "dataset.target_csv"):
         options.append(st.text(max_size=12))  # given without its pair
     return st.one_of(options)
@@ -172,6 +176,32 @@ SUB_SPEC_BOUNDS = [
 @pytest.mark.parametrize("key,value", SUB_SPEC_BOUNDS)
 def test_a_value_beyond_a_sub_spec_bound_exits_2_naming_the_key(key, value):
     assert_config_error_names(key, value)
+
+
+# Non-finite floats and negative spreads, which parse but are config errors.
+NON_FINITE_OR_NEGATIVE = [
+    ("dataset.radius", "nan"),
+    ("dataset.rotation_deg", "nan"),
+    ("dataset.translation", "nan,0"),
+    ("lr_mult.f", "nan"),
+    ("schedule.eta0", "inf"),
+    ("dataset.noise", "-1"),
+    ("dataset.radius", "-4"),
+    ("dataset.class_scales", "-1,1,1"),
+]
+
+
+@pytest.mark.parametrize("key,value", NON_FINITE_OR_NEGATIVE)
+def test_a_non_finite_or_negative_value_exits_2_naming_the_key(key, value):
+    assert_config_error_names(key, value)
+
+
+@pytest.mark.parametrize("key,value", [("dataset.translation", "-2,0"), ("dataset.class_angles", "-10,110,250")])
+def test_a_value_may_start_with_a_minus_in_either_flag_form(tmp_path, key, value):
+    base = ["run", "--train.total_steps", "5", "--seed", "0"]
+    assert main([*base, "--out", str(tmp_path / "spaced"), f"--{key}", value]) == 0
+    assert main([*base, "--out", str(tmp_path / "joined"), f"--{key}={value}"]) == 0
+    assert (tmp_path / "spaced/metrics.csv").read_bytes() == (tmp_path / "joined/metrics.csv").read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -337,26 +367,28 @@ def test_export_features_from_a_model_missing_a_layer_is_exit_2(tmp_path, capsys
     assert not (tmp_path / "f.csv").exists()
 
 
-@pytest.mark.parametrize("layer,fields", [
-    ("F.0.b", lambda t: ["1", "1", t[3]]),  # one value where 64 belong
-    ("F.1.W", lambda t: ["1", "4096", *t[4:]]),  # rank 1
-    ("F.1.W", lambda t: ["2", "32", "64", *t[4:4 + 32 * 64]]),  # 32 rows after a 64-wide layer
-], ids=["short-b", "rank-1-W", "unchained-W"])
-def test_export_features_from_a_model_with_a_malformed_layer_is_exit_2(tmp_path, capsys, layer, fields):
+@pytest.mark.parametrize("edits", [
+    {"F.0.b": lambda t: ["1", "1", t[3]]},  # one value where 64 belong
+    {"F.1.W": lambda t: ["1", "4096", *t[4:]]},  # rank 1
+    {"F.1.W": lambda t: ["2", "32", "64", *t[4:4 + 32 * 64]]},  # 32 rows after a 64-wide layer
+    {"F.1.W": lambda t: ["2", "64", "0"], "F.1.b": lambda t: ["1", "0"]},  # no units at all
+], ids=["short-b", "rank-1-W", "unchained-W", "zero-width"])
+def test_export_features_from_a_model_with_a_malformed_layer_is_exit_2(tmp_path, capsys, edits):
     run_dir = tmp_path / "run"
     base = ["--dataset.n_source", "120", "--dataset.n_target", "120", "--train.total_steps", "20"]
     assert main(["run", *base, "--seed", "0", "--out", str(run_dir)]) == 0
     capsys.readouterr()
-    bad = tmp_path / "bad.txt"
-    lines = (run_dir / "model.txt").read_text().splitlines(keepends=True)
-    bad.write_text("".join(" ".join([layer, *fields(line.split())]) + "\n" if line.startswith(f"{layer} ") else line
-                           for line in lines))
+    bad, layer, text = tmp_path / "bad.txt", next(iter(edits))[:3], ""
+    for line in (run_dir / "model.txt").read_text().splitlines(keepends=True):
+        name = line.split(" ", 1)[0]
+        text += " ".join([name, *edits[name](line.split())]) + "\n" if name in edits else line
+    bad.write_text(text)
     code = main(["export-features", *base, "--seed", "0", "--out", str(run_dir),
                  "--model", str(bad), "--output", str(tmp_path / "f.csv")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-    assert str(bad) in err and f"layer {layer[:3]} " in err
+    assert str(bad) in err and f"layer {layer} " in err
     assert not (tmp_path / "f.csv").exists()
 
 

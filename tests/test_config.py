@@ -127,10 +127,10 @@ def test_unknown_variant():
 
 def test_model_specs_chain_widths():
     cfg = config_from_pairs({"strategy": "multilinear"})
-    spec_f, spec_g, spec_d = cfg.model_specs(input_dim=2)
-    assert spec_f.widths == (2, 64, 64)
-    assert spec_g.widths == (64, 3)
-    assert spec_d.widths == (64 * 3, 64, 64, 1)
+    f, g, d = cfg.model_specs(input_dim=2)
+    assert f.widths == (2, 64, 64)
+    assert g.widths == (64, 3)
+    assert d.widths == (64 * 3, 64, 64, 1)
 
 
 # key -> (a non-default text value, the value it parses to).

@@ -99,6 +99,12 @@ def test_batch_forward_equals_row_by_row():
         np.testing.assert_allclose(d_batch[i], d_row[0], rtol=0, atol=1e-12)
 
 
+def test_widths_are_read_off_the_weights():
+    bundle = small_bundle()
+    assert bundle.specs() == (N.MlpSpec((2, 16, 8)), N.MlpSpec((8, 3)), N.MlpSpec((24, 16, 1)))
+    assert (bundle.d_f, bundle.d_g) == (8, 3)
+
+
 def test_forward_shape_errors():
     bundle = small_bundle()
     with pytest.raises(ValueError, match="shape mismatch"):
@@ -116,9 +122,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     loaded, extras, meta = N.load_model(path)
     for p, q in zip(bundle.all_params(), loaded.all_params()):
         assert p.data.tobytes() == q.data.tobytes()
-    assert loaded.spec_f == bundle.spec_f
-    assert loaded.spec_g == bundle.spec_g
-    assert loaded.spec_d == bundle.spec_d
+    assert loaded.specs() == bundle.specs()
     assert extras["proj.R_f"].tobytes() == np.array([[1.5, -2.25]]).tobytes()
     assert meta["proj.sampler"] == "uniform"
     assert (meta["F.head"], meta["G.head"], meta["D.head"]) == ("linear", "softmax", "sigmoid")

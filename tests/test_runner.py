@@ -47,8 +47,7 @@ def _supervised_oracle(cfg: ExperimentConfig, seed: int):
     """Plain supervised pipeline sharing the run's init and batch streams but
     with no adversarial machinery at all."""
     src, tgt = cfg.make_dataset(seed)
-    spec_f, spec_g, spec_d = cfg.model_specs(src.dim)
-    bundle = N.init_model(spec_f, spec_g, spec_d, seed)
+    bundle = N.init_model(*cfg.model_specs(src.dim), seed)
     schedule = cfg.schedule()
     optimizer = opt.SgdMomentum(
         [(bundle.params_f(), cfg.lr_mult_f), (bundle.params_g(), cfg.lr_mult_g)],
