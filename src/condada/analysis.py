@@ -103,8 +103,7 @@ def proxy_a_distance(f_src: np.ndarray, f_tgt: np.ndarray, seed: int) -> float:
         p = T.clipped_sigmoid(T.mlp(Tensor(rows), layers).data)[0]
         return (p > 0.5).astype(np.float64) != label
 
-    with T.no_tape():
-        errors = np.concatenate([test_error(src_test, 1.0), test_error(tgt_test, 0.0)])
+    errors = np.concatenate([test_error(src_test, 1.0), test_error(tgt_test, 0.0)])
     return a_distance_from_error(errors.mean())
 
 
@@ -257,8 +256,7 @@ def export_features(bundle: N.ModelBundle, sets: list[LabeledSet], path) -> None
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for labeled in sets:
-            with T.no_tape():
-                feats = N.forward_F(bundle, Tensor(labeled.x)).data
+            feats = N.forward_F(bundle, Tensor(labeled.x)).data
             serialize.write_csv_rows(fh, feats, labeled.y, f",{labeled.domain}")
 
 

@@ -64,7 +64,7 @@ _STRATEGY_CHOICES = ("auto",) + C.STRATEGY_TAGS
 @dataclass
 class ExperimentConfig:
     generator: str = _key("dataset.generator", str, home=(ShiftSpec, "generator"), choices=GENERATORS)
-    n_classes: int = _key("dataset.classes", int, home=(ShiftSpec, "n_classes"))
+    n_classes: int = _key("dataset.classes", int, home=(ShiftSpec, "n_classes"), min=2)
     n_source: int = _key("dataset.n_source", int, home=(ShiftSpec, "n_source"))
     n_target: int = _key("dataset.n_target", int, home=(ShiftSpec, "n_target"))
     noise: float | None = _key("dataset.noise", float, home=(ShiftSpec, "noise"), min=0)

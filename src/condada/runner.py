@@ -69,9 +69,8 @@ def _batch_cycle(labeled: LabeledSet, batch_size: int, seed: int):
 
 
 def _evaluate(bundle: N.ModelBundle, labeled: LabeledSet) -> tuple[float, np.ndarray]:
-    with T.no_tape():
-        f = N.forward_F(bundle, Tensor(labeled.x))
-        _, g = N.forward_G(bundle, f)
+    f = N.forward_F(bundle, Tensor(labeled.x))
+    _, g = N.forward_G(bundle, f)
     return A.accuracy(g.data, labeled.y), g.data
 
 
@@ -149,9 +148,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir) -> A.MetricsRecord
     bundle, record, proj = train(cfg, seed, src, tgt)
 
     def probe() -> float:
-        with T.no_tape():
-            f_src = N.forward_F(bundle, Tensor(src.x)).data
-            f_tgt = N.forward_F(bundle, Tensor(tgt.x)).data
+        f_src = N.forward_F(bundle, Tensor(src.x)).data
+        f_tgt = N.forward_F(bundle, Tensor(tgt.x)).data
         return A.proxy_a_distance(f_src, f_tgt, derived_seed(seed, _STREAM_ADIST))
 
     with A.forked("A-distance probe", probe) as a_distance:
@@ -189,6 +187,11 @@ class CompareRow:
 
 def compare(cfg: ExperimentConfig, variants: list[str], seeds: list[int], out_dir) -> list[CompareRow]:
     """Run every (variant, seed) pair into its own directory and write summary.csv."""
+    if not variants:
+        raise ConfigError("--variants must list at least one variant")
+    for flag, values in (("--variants", variants), ("seeds", seeds)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{flag} must not repeat a value, got {','.join(map(str, values))}")
     if len(variants) < 2 and len(seeds) < 2:
         raise ConfigError("compare needs at least two variants or at least two seeds")
     rows: list[CompareRow] = []

@@ -1,10 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Arrays are numpy-backed, row-major, rank <= 2 (a batch axis plus at most one
-feature axis). Every differentiable op records a backward closure on the
-output node; calling :func:`backward` on a scalar loss walks the recorded
-tape once in reverse topological order and accumulates gradients into every
-reachable node with ``requires_grad``.
+feature axis). An op records a backward closure on its output whenever a
+parent requires a gradient, in evaluation forwards too; :func:`backward` on a
+scalar loss walks the recorded tape once in reverse topological order and
+accumulates gradients into every reachable node with ``requires_grad``.
 
 A closure receives its node as an argument instead of capturing it, so a
 graph holds no reference cycles: reference counting frees it as soon as the
@@ -16,8 +16,7 @@ network pass, and the nodes that ``conditioning``, ``objectives`` and
 its logits through :func:`clipped_sigmoid`) record one node where a chain of
 elementary ops (matmul, mul, log, ...) would be, computing the chain's numpy
 expressions in its order, bit for bit; the elementary ops live with the
-tests, as the reference chains. Inside ``with no_tape():`` ops compute
-values only and record nothing; evaluation forwards run that way.
+tests, as the reference chains.
 
 No higher-order gradients, no in-place graph mutation: build a fresh graph
 per training step.
@@ -25,7 +24,6 @@ per training step.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,9 +31,6 @@ import numpy as np
 # Floor applied to log arguments and sigmoid outputs so that saturated
 # discriminator probabilities keep the adversarial losses finite.
 LOG_CLAMP = 1e-12
-
-# Cleared by no_tape(); while clear, node() records no backward.
-_recording = True
 
 
 def clamped_log(p: np.ndarray):
@@ -113,25 +108,14 @@ def node(data: np.ndarray, parents: tuple, backward_fn: Callable[[Tensor], None]
     """Wrap ``data`` as the output of an op over ``parents``.
 
     ``backward_fn(out)`` reads ``out.grad`` and accumulates into the parents;
-    it is recorded only when taping and some parent requires a gradient.
+    it is recorded whenever some parent requires a gradient.
     """
     out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
     return out
-
-
-@contextmanager
-def no_tape():
-    """Compute values only: ops inside the block record no backward."""
-    global _recording
-    saved, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = saved
 
 
 def backward(loss: Tensor) -> None:

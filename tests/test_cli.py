@@ -87,6 +87,21 @@ def test_a_csv_domain_below_the_probe_rows_names_the_file(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_one_class_with_csv_input_exits_2_naming_the_key(tmp_path, capsys):
+    # Only the generator's ShiftSpec checked the class count, and CSV input skips it.
+    rng = np.random.default_rng(0)
+    paths = {}
+    for domain in ("source", "target"):
+        paths[domain] = tmp_path / f"{domain}.csv"
+        save_csv(LabeledSet(rng.standard_normal((60, 2)), np.zeros(60, dtype=int), domain), paths[domain])
+    out_dir = tmp_path / "out"
+    assert main(["run", "--dataset.source_csv", str(paths["source"]), "--dataset.target_csv", str(paths["target"]),
+                 "--dataset.classes", "1", "--train.total_steps", "5", "--seed", "0", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dataset.classes must be >= 2") and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("line", ["dataset.clases = 3", "schedule.eta0 = abc"])
 def test_config_file_error_names_the_file(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
@@ -169,7 +184,7 @@ SUB_SPEC_BOUNDS = [
     ("schedule.momentum", "1"),
     ("schedule.momentum", "-0.1"),
     ("schedule.lambda", "-1"),
-    ("dataset.classes", "1"),
+    ("dataset.classes", "1"),  # also the key's own min, which CSV input needs
 ]
 
 
@@ -242,6 +257,23 @@ def test_a_bad_seed_is_named_before_any_work(tmp_path, monkeypatch, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {named}") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("variants, seeds, named", [
+    (",", "0,1", "--variants must list at least one variant"),
+    ("dann,dann", "0", "--variants must not repeat a value, got dann,dann"),
+    ("source_only,dann", "0,0", "seeds must not repeat a value, got 0,0"),
+])
+def test_compare_needs_distinct_variants_and_seeds(tmp_path, monkeypatch, capsys, variants, seeds, named):
+    def no_work(*args, **kwargs):
+        raise AssertionError("trained for a list with no or a repeated entry")
+
+    monkeypatch.setattr("condada.runner.train", no_work)
+    out_dir = tmp_path / "out"
+    assert main(["compare", "--variants", variants, "--seeds", seeds, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}") and len(err.strip().splitlines()) == 1
     assert not out_dir.exists()
 
 

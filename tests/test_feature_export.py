@@ -6,7 +6,6 @@ import pytest
 import condada.analysis as A
 import condada.networks as N
 import condada.serialize as S
-import condada.tensor as T
 from condada.datagen import LabeledSet
 from condada.tensor import Tensor
 from helpers import count_forks
@@ -19,8 +18,7 @@ def serial_reference(bundle, sets, path):
     with open(path, "w") as fh:
         fh.write(",".join(f"f{i}" for i in range(d_f)) + ",label,domain\n")
         for labeled in sets:
-            with T.no_tape():
-                feats = N.forward_F(bundle, Tensor(labeled.x)).data
+            feats = N.forward_F(bundle, Tensor(labeled.x)).data
             for row, label in zip(feats, labeled.y):
                 fh.write(",".join(repr(v) for v in row.tolist()) + f",{label},{labeled.domain}\n")
 
@@ -52,11 +50,8 @@ def forks(monkeypatch):
 BLOCK_ROWS = S.CSV_BLOCK_FLOATS // 5  # rows per formatted block at make_bundle's d_f
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 @pytest.mark.parametrize("sizes", [(17, 11), (1,), (9, 1), (1, 1), (BLOCK_ROWS - 1, BLOCK_ROWS), (BLOCK_ROWS + 1,)])
-def test_forked_slices_match_the_serial_loop(tmp_path, monkeypatch, forks, cpus, sizes):
-    # At any usable CPU count the parent formats every row itself.
-    monkeypatch.setattr(A, "_usable_cpus", lambda: cpus)
+def test_the_in_process_export_is_the_repr_loop_and_forks_nothing(tmp_path, forks, sizes):
     got, want = both_exports(tmp_path, make_bundle(), make_sets(sizes))
     assert got == want
     assert forks == []

@@ -1,7 +1,8 @@
 """Fused tape ops against the op chains they replace, bit for bit, and the
-tape's memory behaviour: no reference cycles, no tape in evaluation."""
+tape's memory behaviour: no reference cycles, no graph kept after evaluation."""
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -394,24 +395,14 @@ def test_a_shared_node_takes_part_in_every_backward():
     np.testing.assert_array_equal(w.grad, 2.0 * first)
 
 
-def test_no_tape_records_nothing_and_restores_taping():
-    bundle = toy_bundle()
-    x = Tensor(np.ones((3, 2)))
-    with T.no_tape():
-        f = N.forward_F(bundle, x)
-    assert f._backward is None and f._parents == () and not f.requires_grad
-    g = N.forward_F(bundle, x)
-    assert g._backward is not None and g.requires_grad
-    assert_same(f.data, g.data)
-
-
-def recorded_outputs(monkeypatch, owner, name):
+def recorded_outputs(monkeypatch, owner, name, keep=lambda t: t):
+    """Patch owner.name to append keep(t) for each tensor it returns."""
     outputs = []
     original = getattr(owner, name)
 
     def recording(*args, **kwargs):
         result = original(*args, **kwargs)
-        outputs.extend(result if isinstance(result, tuple) else (result,))
+        outputs.extend(map(keep, result if isinstance(result, tuple) else (result,)))
         return result
 
     monkeypatch.setattr(owner, name, recording)
@@ -425,24 +416,53 @@ def test_training_forwards_record_a_backward(monkeypatch):
     assert all(t._backward is not None and t.requires_grad for t in forwards)
 
 
-def test_evaluation_forwards_record_no_backward(monkeypatch, tmp_path):
+def test_evaluation_forwards_leave_no_graph_and_no_gradient(monkeypatch, tmp_path, no_cycle_collector):
+    # Evaluation forwards record their closures; reference counting frees
+    # them with their outputs, and nothing is ever differentiated.
     bundle = toy_bundle()
     rng = np.random.default_rng(4)
     labeled = LabeledSet(rng.standard_normal((12, 2)), rng.integers(0, 3, 12), "target")
-    features = recorded_outputs(monkeypatch, N, "forward_F")
-    predictions = recorded_outputs(monkeypatch, N, "forward_G")  # (logits, probs) per call
+    features = recorded_outputs(monkeypatch, N, "forward_F", keep=weakref.ref)
+    predictions = recorded_outputs(monkeypatch, N, "forward_G", keep=weakref.ref)  # (logits, probs) per call
 
     R._evaluate(bundle, labeled)
     A.export_features(bundle, [labeled], tmp_path / "features.csv")
     assert len(features) == 2 and len(predictions) == 2
-    assert all(t._backward is None and not t.requires_grad for t in features + predictions)
+    assert [r for r in features + predictions if r() is not None] == []
+    assert all(p.grad is None for p in bundle.all_params())
 
 
-def test_a_distance_probe_tapes_training_forwards_only(monkeypatch):
-    logits = recorded_outputs(monkeypatch, T, "mlp")
+def test_a_distance_probe_loss_records_2_nodes_per_epoch(monkeypatch):
     losses = recorded_outputs(monkeypatch, A, "_probe_loss")
     rng = np.random.default_rng(2)
     A.proxy_a_distance(rng.standard_normal((40, 3)), rng.standard_normal((40, 3)) + 1.0, seed=0)
-    taped = [z._backward is not None for z in logits]
-    assert taped == [True] * A._ADIST_EPOCHS + [False, False]
     assert [recorded_nodes(loss) for loss in losses] == [2] * A._ADIST_EPOCHS  # the mlp and the loss
+
+
+def test_a_tape_built_beside_an_export_records_its_backward(monkeypatch, tmp_path):
+    # A thread held inside the export's forward must not stop the main
+    # thread's graph from recording.
+    bundle = toy_bundle(d_f=1)
+    entered, release = threading.Event(), threading.Event()
+    original = N.forward_F
+
+    def held_forward(*args):
+        entered.set()
+        assert release.wait(60)
+        return original(*args)
+
+    monkeypatch.setattr(N, "forward_F", held_forward)
+    rng = np.random.default_rng(5)
+    labeled = LabeledSet(rng.standard_normal((6, 2)), rng.integers(0, 3, 6), "source")
+    exporter = threading.Thread(target=A.export_features,
+                                args=(bundle, [labeled], tmp_path / "features.csv"))
+    exporter.start()
+    try:
+        assert entered.wait(60)
+        y = np.array([1.0, 0.0, 1.0, 0.0])
+        z = T.mlp(Tensor(rng.standard_normal((4, 2))), bundle.layers_f)
+        T.backward(A._probe_loss(z, y, 1.0 - y))
+        assert all(p.grad is not None for p in bundle.params_f())
+    finally:
+        release.set()
+        exporter.join()

@@ -349,6 +349,17 @@ def test_repr_is_taken_only_in_the_csv_fallback_and_the_metrics_cell():
     assert sites == [("runner.py", "_fmt"), ("serialize.py", "_csv_block")]
 
 
+def test_src_has_no_global_statement():
+    # Module state that a function rebinds is shared by every thread; the
+    # tape keeps none, and neither does the rest of the package.
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            sites += [(path.name, getattr(stmt, "name", None)) for node in ast.walk(stmt)
+                      if isinstance(node, ast.Global)]
+    assert sites == []
+
+
 def test_every_public_tensor_function_has_a_caller_in_src():
     # An op that only the tests call belongs in tests/helpers.py.
     tensor = ast.parse((SRC / "tensor.py").read_text())
