@@ -145,7 +145,7 @@ class ExperimentConfig:
             src = load_csv(self.source_csv, domain="source", n_classes=self.n_classes)
             tgt = load_csv(self.target_csv, domain="target", n_classes=self.n_classes)
             if src.dim != tgt.dim:
-                raise ConfigError(f"source and target feature widths differ: {src.dim} vs {tgt.dim}")
+                raise ConfigError(f"{self.target_csv}: {tgt.dim} feature columns, but {self.source_csv} has {src.dim}")
             return src, tgt
         return generate(self._section(ShiftSpec, seed=seed))
 

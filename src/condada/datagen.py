@@ -201,15 +201,19 @@ def _looks_like_header(fields: list[str]) -> bool:
 def load_csv(path, domain: str = "source", n_classes: int | None = None) -> LabeledSet:
     rows: list[list[float]] = []
     labels: list[int] = []
+    linenos: list[int] = []  # each data row's line number, for the non-finite check
     width = None
+    header_checked = False
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             fields = line.split(",")
-            if lineno == 1 and _looks_like_header(fields):
-                continue
+            if not header_checked:  # only the first non-blank line may be a header
+                header_checked = True
+                if _looks_like_header(fields):
+                    continue
             if width is None:
                 width = len(fields)
                 if width < 2:
@@ -231,14 +235,13 @@ def load_csv(path, domain: str = "source", n_classes: int | None = None) -> Labe
                 raise ValueError(f"{path}: label {label} >= n_classes {n_classes} at line {lineno}")
             rows.append(values)
             labels.append(label)
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     labeled = LabeledSet(np.array(rows), np.array(labels), domain)
     finite = np.isfinite(labeled.x).all(axis=1)
-    if not finite.all():  # found again from the file, so the row loop keeps no line numbers
-        with open(path) as fh:
-            lines = [lineno for lineno, line in enumerate(fh, start=1) if line.strip()]
-        raise ValueError(f"{path}: non-finite feature at line {lines[len(lines) - len(rows) + finite.argmin()]}")
+    if not finite.all():
+        raise ValueError(f"{path}: non-finite feature at line {linenos[finite.argmin()]}")
     if domain == "source" and n_classes is not None:
         present = set(labeled.y.tolist())
         missing = [c for c in range(n_classes) if c not in present]

@@ -130,35 +130,27 @@ def save_model(bundle: ModelBundle, path, extra_arrays: dict[str, np.ndarray] | 
 
 
 def load_model(path) -> tuple[ModelBundle, dict[str, np.ndarray], dict[str, str]]:
-    """Rebuild a bundle from a saved file; extra (non-layer) arrays come back verbatim."""
+    """Rebuild a bundle from a saved file; extra (non-layer) arrays come back verbatim.
+    Each network's layers are ``{tag}.0``, ``{tag}.1``, ..., read while either array of an index is present."""
     arrays, meta = serialize.read_arrays(path)
-    layers_by_tag: dict[str, list[tuple[Tensor, Tensor]]] = {}
-    extras: dict[str, np.ndarray] = {}
-    grouped: dict[str, dict[int, dict[str, np.ndarray]]] = {"F": {}, "G": {}, "D": {}}
-    for name, arr in arrays.items():
-        parts = name.split(".")
-        if len(parts) == 3 and parts[0] in grouped and parts[2] in ("W", "b"):
-            grouped[parts[0]].setdefault(int(parts[1]), {})[parts[2]] = arr
-        else:
-            extras[name] = arr
-    for tag, by_index in grouped.items():
-        missing = [i for i in range(len(by_index)) if i not in by_index]
-        if missing:
-            raise ValueError(f"{path}: network {tag} lacks layer {tag}.{missing[0]}")
+    networks = []
+    for tag in ("F", "G", "D"):
         layers = []
-        for i in sorted(by_index):
-            if len(by_index[i]) != 2:
+        while f"{tag}.{len(layers)}.W" in arrays or f"{tag}.{len(layers)}.b" in arrays:
+            i = len(layers)
+            w, b = arrays.pop(f"{tag}.{i}.W", None), arrays.pop(f"{tag}.{i}.b", None)
+            if w is None or b is None:
                 raise ValueError(f"{path}: layer {tag}.{i} needs both its W and its b array")
-            w, b = by_index[i]["W"], by_index[i]["b"]
             rows = layers[-1][0].data.shape[1] if layers else None  # the previous layer's width
             if w.ndim != 2 or 0 in w.shape or b.shape != w.shape[1:] or rows not in (None, w.shape[0]):
                 raise ValueError(f"{path}: layer {tag}.{i} has W of shape {w.shape} and b of shape {b.shape}, "
                                  f"expected ({rows or 'm'}, n) and (n,), each width >= 1")
             layers.append((Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)))
+        for name in arrays:  # the rest are extras, unless one is named like a layer of this network
+            parts = name.split(".")
+            if len(parts) == 3 and parts[0] == tag and parts[2] in ("W", "b"):
+                raise ValueError(f"{path}: network {tag} lacks layer {tag}.{len(layers)} but holds {name}")
         if not layers:
             raise ValueError(f"{path}: no layers found for network {tag}")
-        layers_by_tag[tag] = layers
-    bundle = ModelBundle(
-        layers_f=layers_by_tag["F"], layers_g=layers_by_tag["G"], layers_d=layers_by_tag["D"],
-    )
-    return bundle, extras, meta
+        networks.append(layers)
+    return ModelBundle(*networks), arrays, meta

@@ -52,10 +52,10 @@ def derived_seed(seed: int, stream: int) -> int:
 def apply_variant(cfg: ExperimentConfig, variant: str) -> ExperimentConfig:
     """Named method presets over a base config. A ``@sampler`` suffix forces
     that sampler for the randomized map."""
-    name, _, sampler = variant.partition("@")
+    name, at, sampler = variant.partition("@")
     if name not in VARIANTS:
         raise ConfigError(f"unknown variant {name!r}, expected one of {VARIANTS}")
-    if sampler and sampler not in C.SAMPLERS:
+    if at and sampler not in C.SAMPLERS:
         raise ConfigError(f"unknown sampler {sampler!r} in variant {variant!r}")
     strategy, entropy = PRESETS[name]
     return replace(cfg, strategy=strategy, entropy=entropy, sampler=sampler or cfg.sampler,
@@ -194,9 +194,14 @@ def compare(cfg: ExperimentConfig, variants: list[str], seeds: list[int], out_di
             raise ConfigError(f"{flag} must not repeat a value, got {','.join(map(str, values))}")
     if len(variants) < 2 and len(seeds) < 2:
         raise ConfigError("compare needs at least two variants or at least two seeds")
+    vcfgs = {variant: apply_variant(cfg, variant) for variant in variants}
+    for variant, vcfg in vcfgs.items():
+        tag = vcfg.resolve_strategy().tag
+        if "@" in variant and tag != C.RANDOMIZED_MULTILINEAR:
+            raise ConfigError(f"variant {variant!r} sets a sampler, but its map is {tag}, not "
+                              f"{C.RANDOMIZED_MULTILINEAR} (see --conditioning.threshold)")
     rows: list[CompareRow] = []
-    for variant in variants:
-        vcfg = apply_variant(cfg, variant)
+    for variant, vcfg in vcfgs.items():
         for seed in seeds:
             run_dir = os.path.join(out_dir, variant.replace("@", "_"), f"seed_{seed}")
             record = run_experiment(vcfg, seed, run_dir)

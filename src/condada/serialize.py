@@ -64,8 +64,6 @@ def _csv_block(x: np.ndarray, labels: list, tail: str) -> bytes:
     (zeros, subnormals, inf, nan, exponent notation, larger values and that
     case) are repr'd and copied in."""
     n, d = x.shape
-    if n == 0:
-        return b""
     flat = x.reshape(-1)
     bits = flat.view(np.uint64)
     neg = np.signbit(flat)

@@ -277,6 +277,21 @@ def test_compare_needs_distinct_variants_and_seeds(tmp_path, monkeypatch, capsys
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("variants", ["cdan@gaussian,cdan@uniform", "source_only,dann_fg@uniform"])
+def test_compare_with_a_sampler_needs_the_randomized_map(tmp_path, monkeypatch, capsys, variants):
+    # With the default threshold every variant takes an exact map, which draws no projection.
+    def no_work(*args, **kwargs):
+        raise AssertionError("trained a variant whose sampler goes unused")
+
+    monkeypatch.setattr("condada.runner.train", no_work)
+    out_dir = tmp_path / "out"
+    assert main(["compare", "--variants", variants, "--seeds", "0", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    named = [v for v in variants.split(",") if "@" in v][0]
+    assert err.startswith(f"config error: variant {named!r} sets a sampler") and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
 def test_verify_theorem1_verb(capsys):
     code = main(["verify-theorem1", "--dims", "32,64", "--resamples", "2000",
                  "--samplers", "gaussian", "--seed", "0", "--df", "8", "--dg", "4"])
@@ -422,6 +437,39 @@ def test_export_features_from_a_model_with_a_malformed_layer_is_exit_2(tmp_path,
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert str(bad) in err and f"layer {layer} " in err
     assert not (tmp_path / "f.csv").exists()
+
+
+def test_export_features_from_a_model_with_a_renamed_layer_is_exit_2(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    base = ["--dataset.n_source", "120", "--dataset.n_target", "120", "--train.total_steps", "20"]
+    assert main(["run", *base, "--seed", "0", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    renamed = tmp_path / "renamed.txt"
+    renamed.write_text((run_dir / "model.txt").read_text().replace("\nF.1.", "\nF.x."))
+    code = main(["export-features", *base, "--seed", "0", "--out", str(run_dir),
+                 "--model", str(renamed), "--output", str(tmp_path / "f.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {renamed}: network F lacks layer F.1 but holds F.x.W\n"
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["missing-target", "widths-differ"])
+def test_a_bad_csv_pair_exits_2_naming_the_file(tmp_path, capsys, case):
+    rng = np.random.default_rng(0)
+    paths = {}
+    for domain, dim in (("source", 2), ("target", 3 if case == "widths-differ" else 2)):
+        paths[domain] = tmp_path / f"{domain}.csv"
+        save_csv(LabeledSet(rng.standard_normal((60, dim)), np.arange(60) % 3, domain), paths[domain])
+    if case == "missing-target":
+        paths["target"].unlink()
+    out_dir = tmp_path / "out"
+    assert main(["run", "--dataset.source_csv", str(paths["source"]), "--dataset.target_csv", str(paths["target"]),
+                 "--train.total_steps", "5", "--seed", "0", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert str(paths["target"]) in err
+    assert not out_dir.exists()
 
 
 BLAS_THREADS = """

@@ -125,6 +125,18 @@ def test_unknown_variant():
         apply_variant(ExperimentConfig(), "cdan_e@cauchy")
 
 
+def test_an_empty_sampler_suffix_is_unknown():
+    with pytest.raises(ConfigError, match="unknown sampler '' in variant 'cdan@'"):
+        apply_variant(ExperimentConfig(), "cdan@")
+
+
+@pytest.mark.parametrize("word, value", [
+    ("false", False), ("0", False), ("No", False), (" OFF ", False), ("true", True), ("1", True),
+])
+def test_boolean_words(word, value):
+    assert config_from_pairs({"conditioning.normalize_features": word}).normalize_features is value
+
+
 def test_model_specs_chain_widths():
     cfg = config_from_pairs({"strategy": "multilinear"})
     f, g, d = cfg.model_specs(input_dim=2)

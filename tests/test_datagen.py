@@ -57,6 +57,25 @@ def test_zero_rotation_source_classifier_transfers(tmp_path):
     assert record.final_target_accuracy > 0.95
 
 
+def test_per_class_rotations_turn_each_class_by_its_own_angle():
+    _, still = D.generate(D.ShiftSpec(rotation_deg=0.0, seed=4))
+    _, turned = D.generate(D.ShiftSpec(rotation_deg=(0.0, 90.0, 180.0), seed=4))
+    np.testing.assert_array_equal(turned.y, still.y)
+    for c, deg in enumerate((0.0, 90.0, 180.0)):
+        theta = np.deg2rad(deg)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        np.testing.assert_allclose(turned.x[turned.y == c], still.x[still.y == c] @ rot.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("classes", [2, 4, 5])
+def test_blobs_without_class_angles_sit_evenly_on_the_circle(classes):
+    src, _ = D.generate(D.ShiftSpec(n_classes=classes, n_source=200 * classes, noise=0.05, seed=1))
+    angles = 2.0 * np.pi * np.arange(classes) / classes
+    want = 4.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    got = np.stack([src.x[src.y == c].mean(axis=0) for c in range(classes)])
+    np.testing.assert_allclose(got, want, atol=0.02)
+
+
 def test_moons_balance_and_determinism():
     spec = D.ShiftSpec(generator="twin_moons_shift", n_classes=2, n_source=1000, n_target=1000, seed=11)
     src, tgt = D.generate(spec)
@@ -115,6 +134,21 @@ def test_csv_header_is_optional(tmp_path):
     np.testing.assert_array_equal(loaded.x, [[0.5, 1.5], [-1.0, 2.0]])
 
 
+def test_a_header_after_blank_lines_is_a_header(tmp_path):
+    src, _ = D.generate(D.ShiftSpec(n_source=30, n_target=30, seed=2))
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    D.save_csv(src, plain)
+    padded.write_text("\n" + plain.read_text())
+    got, want = D.load_csv(padded), D.load_csv(plain)
+    assert (got.x.tobytes(), got.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+    lines = padded.read_text().splitlines(keepends=True)
+    lines[5] = "-inf," + lines[5].split(",", 1)[1]
+    padded.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        D.load_csv(padded)
+    assert str(info.value) == f"{padded}: non-finite feature at line 6"
+
+
 @pytest.mark.parametrize("content,message", [
     ("0.5,1.5,0\n1.0,2\n", "ragged"),
     ("0.5,abc,0\n", "non-numeric"),
@@ -123,12 +157,23 @@ def test_csv_header_is_optional(tmp_path):
     ("0.5,1.5,-1\n", "negative label"),
     ("0.5,nan,0\n", "non-finite feature at line 1"),
     ("x0,x1,label\n0.5,1.5,0\n\n-inf,1.5,1\n", "non-finite feature at line 4"),
+    ("0.5\n", "need at least one feature column and a label column"),
+    ("x0,x1,label\n\n", "no data rows"),
 ])
 def test_csv_errors(tmp_path, content, message):
     path = tmp_path / "bad.csv"
     path.write_text(content)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as info:
         D.load_csv(path, domain="target", n_classes=2)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_a_source_csv_missing_a_class_is_named(tmp_path):
+    path = tmp_path / "src.csv"
+    path.write_text("0.5,1.5,0\n1.0,2.0,2\n")
+    with pytest.raises(ValueError) as info:
+        D.load_csv(path, domain="source", n_classes=3)
+    assert str(info.value) == f"{path}: source set is missing classes [1]"
 
 
 def test_batch_iter_keeps_final_short_batch():

@@ -133,3 +133,49 @@ def test_spec_validation():
         N.MlpSpec((4,))
     with pytest.raises(ConfigError, match=">= 1"):
         N.MlpSpec((4, 0))
+
+
+def saved_lines(tmp_path) -> list[str]:
+    path = tmp_path / "model.txt"
+    N.save_model(small_bundle(), path, extra_arrays={"proj.R_f": np.array([[1.5, -2.25]])})
+    return path.read_text().splitlines(keepends=True)
+
+
+def rewrite(lines: list[str], renames: dict[str, str | None]) -> str:
+    """The saved lines with each named array renamed, or dropped where its new name is None."""
+    out = []
+    for line in lines:
+        name, rest = line.split(" ", 1)
+        new = renames.get(name, name)
+        if new is not None:
+            out.append(f"{new} {rest}")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("renames, message", [
+    ({"F.1.W": "F.x.W", "F.1.b": "F.x.b"}, "network F lacks layer F.1 but holds F.x.W"),
+    ({"F.0.W": None, "F.0.b": None}, "network F lacks layer F.0 but holds F.1.W"),
+    ({"G.0.W": None, "G.0.b": "G.00.b"}, "network G lacks layer G.0 but holds G.00.b"),
+    ({"D.0.W": "D.-1.W", "D.0.b": "D.-1.b"}, "network D lacks layer D.0 but holds D.-1.W"),
+], ids=["renamed-pair", "gap-at-0", "padded-index", "negative-index"])
+def test_a_stray_layer_name_is_named(tmp_path, renames, message):
+    path = tmp_path / "stray.txt"
+    path.write_text(rewrite(saved_lines(tmp_path), renames))
+    with pytest.raises(ValueError) as info:
+        N.load_model(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_a_network_with_no_layers_is_named(tmp_path):
+    path = tmp_path / "no_g.txt"
+    path.write_text(rewrite(saved_lines(tmp_path), {"G.0.W": None, "G.0.b": None}))
+    with pytest.raises(ValueError) as info:
+        N.load_model(path)
+    assert str(info.value) == f"{path}: no layers found for network G"
+
+
+def test_names_beside_the_layers_come_back_as_extras(tmp_path):
+    path = tmp_path / "extras.txt"
+    path.write_text(rewrite(saved_lines(tmp_path), {"proj.R_f": "F.0.W.old"}))
+    _, extras, _ = N.load_model(path)
+    assert list(extras) == ["F.0.W.old"]

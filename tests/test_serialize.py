@@ -90,3 +90,17 @@ def test_block_edges(d, offset, tail):
     x = rng.choice(pool, (rows, d))
     assert_same_rows(x, rng.integers(0, 10, rows), tail)
     assert_same_rows(x[:1], [7], tail)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("F.0.b 1 two 0x1p+0\n", "malformed tensor line 2"),
+    ("F.0.b\n", "malformed tensor line 2"),
+    ("F.0.b 1 3 0x1p+0 0x1p+1\n", "line 2 declares shape (3,) but has 2 values"),
+    ("F.0.W 2 2 2 0x1p+0\n", "line 2 declares shape (2, 2) but has 1 values"),
+], ids=["bad-rank", "no-rank", "short-vector", "short-matrix"])
+def test_a_bad_array_line_is_named(tmp_path, line, message):
+    path = tmp_path / "arrays.txt"
+    path.write_text("# F.head linear\n" + line)
+    with pytest.raises(ValueError) as info:
+        S.read_arrays(path)
+    assert str(info.value) == f"{path}: {message}"
