@@ -260,32 +260,78 @@ def export_features(bundle: N.ModelBundle, sets: list[LabeledSet], path) -> None
             serialize.write_csv_rows(fh, feats, labeled.y, f",{labeled.domain}")
 
 
-@contextlib.contextmanager
-def forked(name: str, produce):
-    """Run ``produce()``, which returns a float, in a forked child while the
-    block runs; the child stores the float in an 8-byte anonymous shared
-    mapping, so no pipe or file descriptor is involved.
+class Link:
+    """One end of a forked job: ``shared``, float64s in an anonymous mapping
+    that both ends see, and one pipe each way. ``send()`` writes one byte to
+    the other end and ``recv()`` waits for one; in the parent, either call
+    that finds the child gone reaps it and raises OSError naming the job."""
 
-    The block gets one function: it reaps the child, raises OSError naming the
-    job if the child failed, and otherwise returns the float. Leaving the block
-    kills and reaps the child if it is not yet reaped. The child ends in
-    os._exit: no atexit handler, no flush of inherited buffers (the caller
-    flushes its own first). ``produce`` must take no lock another thread may
-    have held at the fork; the A-distance probe's numpy arithmetic takes none.
-    Without os.fork, ``produce`` runs inline.
+    def __init__(self, name: str, shared: np.ndarray, read_fd: int | None = None,
+                 write_fd: int | None = None, pid: int | None = None):
+        self.name, self.shared = name, shared
+        self._read, self._write, self._pid = read_fd, write_fd, pid
+
+    def send(self) -> None:
+        try:
+            os.write(self._write, b"\0")
+        except BrokenPipeError:
+            self.join()
+            raise
+
+    def recv(self) -> None:
+        if not os.read(self._read, 1):
+            self.join()
+            raise OSError(f"{self.name}: the other end closed")
+
+    def join(self) -> None:
+        """Reap the child; raise OSError naming the job if it failed."""
+        if self._pid is None:
+            return
+        status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        self._pid = None
+        if status != 0:
+            raise OSError(f"{self.name} failed with exit status {status}")
+
+
+@contextlib.contextmanager
+def forked(name: str, child, n_floats: int = 1):
+    """Run ``child(link)`` in a forked child while the block runs, and yield
+    the parent's ``Link``; both links share ``n_floats`` float64s.
+
+    The parent reads the child's results after ``link.join()``. Leaving the
+    block kills and reaps the child if it is not yet reaped, then closes the
+    parent's ends of the pipes. The child ignores SIGINT (the parent's
+    interrupt ends it) and ends in os._exit: no atexit handler, no flush of
+    inherited buffers (the caller flushes its own first); an exception prints
+    its traceback and exits 1. ``child`` must take no lock another thread may
+    have held at the fork; numpy arithmetic takes none. Without os.fork,
+    ``child`` runs inline before the block, so it must not call ``send`` or
+    ``recv`` then.
     """
     if not hasattr(os, "fork"):
-        value = produce()
-        yield lambda: value
+        link = Link(name, np.zeros(n_floats))
+        child(link)
+        yield link
         return
     import mmap  # at module level it adds ~0.5 ms to `import condada`
+    import signal  # at module level it adds ~0.7 ms to `import condada`
 
-    shared = mmap.mmap(-1, 8)
-    pid = os.fork()
+    # No descriptor: an anonymous mapping is freed with its last view.
+    shared = np.frombuffer(mmap.mmap(-1, 8 * n_floats))
+    to_child, to_parent = os.pipe(), os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in to_child + to_parent:
+            os.close(fd)
+        raise
     if pid == 0:
         code = 1
         try:
-            np.frombuffer(shared)[0] = produce()
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(to_child[1])
+            os.close(to_parent[0])
+            child(Link(name, shared, to_child[0], to_parent[1]))
             code = 0
         except BaseException:
             import traceback
@@ -294,20 +340,14 @@ def forked(name: str, produce):
         finally:
             os._exit(code)
 
-    def result() -> float:
-        nonlocal pid
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pid = None
-        if status != 0:
-            raise OSError(f"{name} failed with exit status {status}")
-        return float(np.frombuffer(shared)[0])
-
+    os.close(to_child[0])
+    os.close(to_parent[1])
+    link = Link(name, shared, to_parent[0], to_child[1], pid)
     try:
-        yield result
+        yield link
     finally:
-        if pid is not None:
-            import signal  # only on failure: at module level it adds ~0.7 ms to `import condada`
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        shared.close()
+        if link._pid is not None:
+            os.kill(link._pid, signal.SIGKILL)
+            os.waitpid(link._pid, 0)
+        os.close(to_parent[0])
+        os.close(to_child[1])

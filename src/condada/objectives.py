@@ -1,10 +1,11 @@
 """Loss surface of the adversarial adaptation game.
 
-A single training step builds one graph: source cross-entropy plus the
-conditional discriminator's binary loss, with the discriminator's inputs
-routed through gradient reversal scaled by the effective adversarial
-coefficient. One backward pass then hands every player its own gradient:
-D descends its loss while F and G ascend it, scaled by lambda, on top of
+A training step's graph has two halves, one per domain: the source half is
+the cross-entropy plus the conditional discriminator's binary loss on source
+rows, the target half that loss on target rows, with the discriminator's
+inputs routed through gradient reversal scaled by the effective adversarial
+coefficient. Their backward passes hand every player its own gradient: D
+descends its loss while F and G ascend it, scaled by lambda, on top of
 descending the classifier loss.
 
 Entropy weights are per-example constants within a step: they prioritize
@@ -30,8 +31,8 @@ from .tensor import Tensor
 
 @dataclass
 class LossBreakdown:
-    classifier_loss: float
-    discriminator_loss: float
+    classifier_loss: float | None  # None for a target half alone
+    discriminator_loss: float  # D's loss over the rows of the halves built
     entropy_weights: np.ndarray | None  # source rows then target rows, when entropy conditioning is on
     objective: Tensor  # graph scalar whose backward drives all three players
 
@@ -97,68 +98,67 @@ def _neg_log_mean(probs: np.ndarray, weights: Tensor | None):
     return value, lambda g: dlog(-(np.broadcast_to(g / w_sum, neg.shape) * w))
 
 
-def adversarial_losses(z_src: Tensor, z_tgt: Tensor,
-                       weights_src: Tensor | None = None,
-                       weights_tgt: Tensor | None = None) -> Tensor:
-    """Weighted discriminator loss -mean_w log d_src - mean_w log(1 - d_tgt) of
-    D's (n, 1) logits z, through its sigmoid head d = clipped_sigmoid(z).
+def adversarial_losses(z: Tensor, source: bool, weights: Tensor | None = None) -> Tensor:
+    """D's loss on one domain's (n, 1) logits z through its sigmoid head
+    d = clipped_sigmoid(z): -mean_w log d on source rows, -mean_w log(1 - d)
+    on target rows.
 
-    Weighted means are normalized by the batch weight sum, so rescaling all
-    weights leaves the loss unchanged. The weights are constants. The one
-    node is what D descends; when the discriminator inputs were routed
-    through gradient reversal, it is also the adversarial quantity that F and
-    G ascend.
+    A weighted mean is normalized by the batch weight sum, so rescaling all
+    weights leaves the loss unchanged. The weights are constants. A step's
+    discriminator loss is the source node's value plus the target node's; the
+    two are what D descends, and when D's inputs were routed through gradient
+    reversal, also the adversarial quantity that F and G ascend.
     """
-    d_src, dsig_src = T.clipped_sigmoid(z_src.data)
-    d_tgt, dsig_tgt = T.clipped_sigmoid(z_tgt.data)
-    src_value, src_bw = _neg_log_mean(d_src, weights_src)
-    tgt_value, tgt_bw = _neg_log_mean(1.0 - d_tgt, weights_tgt)
+    d, dsig = T.clipped_sigmoid(z.data)
+    value, bw = _neg_log_mean(d if source else 1.0 - d, weights)
 
     def _bw(out):
-        if z_src.requires_grad:
-            T._accumulate(z_src, dsig_src(src_bw(out.grad)))
-        if z_tgt.requires_grad:
-            T._accumulate(z_tgt, dsig_tgt(-tgt_bw(out.grad)))
+        if z.requires_grad:
+            g = bw(out.grad)
+            T._accumulate(z, dsig(g if source else -g))
 
-    return T.node(src_value + tgt_value, (z_src, z_tgt), _bw)
+    return T.node(value, (z,), _bw)
 
 
-def cdan_step_losses(x_src: np.ndarray, y_src: np.ndarray, x_tgt: np.ndarray,
+def domain_half(x: np.ndarray, y: np.ndarray | None, bundle: N.ModelBundle,
+                strategy: C.ConditioningStrategy, proj: C.RandomProjection | None = None,
+                lambda_eff: float = 1.0, entropy_weighting: bool = False) -> LossBreakdown:
+    """One domain's half of a step: F -> G -> condition -> gradient reversal
+    -> D -> D's loss on these rows, plus G's cross-entropy when the source
+    labels y are given; y is None for the target half.
+
+    A half's backward gives each parameter at most one gradient contribution
+    (``tests/test_objectives.py`` counts them). So two halves differentiated
+    apart, even in two processes, and joined by one addition per parameter,
+    which IEEE arithmetic makes commutative, give the bits of one graph.
+    """
+    if lambda_eff < 0.0:
+        raise ValueError(f"lambda_eff must be >= 0, got {lambda_eff}")
+    f = N.forward_F(bundle, Tensor(x))
+    _, g = N.forward_G(bundle, f)
+    # Constants: weights prioritize, they do not backpropagate.
+    w = entropy_weight(entropy(g)) if entropy_weighting else None
+    z = N.forward_D(bundle, T.gradient_reversal(C.condition(f, g, strategy, proj), lambda_eff))
+    loss_d = adversarial_losses(z, y is not None, w)
+    weights = None if w is None else w.data
+    if y is None:
+        return LossBreakdown(None, loss_d.item(), weights, loss_d)
+    cls = cross_entropy(g, y)
+    return LossBreakdown(cls.item(), loss_d.item(), weights, T.add(cls, loss_d))
+
+
+def cdan_step_losses(x_src: np.ndarray, y_src: np.ndarray, x_tgt: np.ndarray | None,
                      bundle: N.ModelBundle, strategy: C.ConditioningStrategy,
                      proj: C.RandomProjection | None = None,
                      lambda_eff: float = 1.0, entropy_weighting: bool = False) -> LossBreakdown:
-    """One simultaneous minimax step's losses over a source and a target batch."""
-    if lambda_eff < 0.0:
-        raise ValueError(f"lambda_eff must be >= 0, got {lambda_eff}")
-
-    f_src = N.forward_F(bundle, Tensor(x_src))
-    _, g_src = N.forward_G(bundle, f_src)
-    f_tgt = N.forward_F(bundle, Tensor(x_tgt))
-    _, g_tgt = N.forward_G(bundle, f_tgt)
-
-    cls = cross_entropy(g_src, y_src)
-
-    w_src = w_tgt = None
-    if entropy_weighting:
-        # Constants: weights prioritize, they do not backpropagate.
-        w_src = entropy_weight(entropy(g_src))
-        w_tgt = entropy_weight(entropy(g_tgt))
-
-    h_src = C.condition(f_src, g_src, strategy, proj)
-    h_tgt = C.condition(f_tgt, g_tgt, strategy, proj)
-    z_src = N.forward_D(bundle, T.gradient_reversal(h_src, lambda_eff))
-    z_tgt = N.forward_D(bundle, T.gradient_reversal(h_tgt, lambda_eff))
-
-    loss_d = adversarial_losses(z_src, z_tgt, w_src, w_tgt)
-    objective = T.add(cls, loss_d)
-
-    weights = None
-    if entropy_weighting:
-        weights = np.concatenate([w_src.data, w_tgt.data])
-
-    return LossBreakdown(
-        classifier_loss=cls.item(),
-        discriminator_loss=loss_d.item(),
-        entropy_weights=weights,
-        objective=objective,
-    )
+    """One simultaneous minimax step's losses over a source and a target batch:
+    the two domain halves, their objectives joined by one add. With x_tgt
+    None, only the source half is built, for a trainer whose worker process
+    builds the target half."""
+    src = domain_half(x_src, y_src, bundle, strategy, proj, lambda_eff, entropy_weighting)
+    if x_tgt is None:
+        return src
+    tgt = domain_half(x_tgt, None, bundle, strategy, proj, lambda_eff, entropy_weighting)
+    weights = None if src.entropy_weights is None else np.concatenate([src.entropy_weights, tgt.entropy_weights])
+    return LossBreakdown(src.classifier_loss, src.discriminator_loss + tgt.discriminator_loss, weights,
+                         T.add(src.objective, tgt.objective))

@@ -8,6 +8,7 @@ and every emitted file is byte-reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -68,6 +69,63 @@ def _batch_cycle(labeled: LabeledSet, batch_size: int, seed: int):
         yield from batch_iter(labeled, batch_size, seed, epoch)
 
 
+_PARENT, _WORKER = 0, 1
+
+
+class _SharedStep:
+    """The mapping that the trainer shares with its worker, and one side's use of it.
+
+    Per step parity it holds two blocks, the parent's then the worker's: the
+    D loss of that side's half, then every parameter's gradient, flat in
+    order, each block spanning whole 4 KiB pages. A side writes its block of
+    step s while the other may still read its block of step s - 1. After the
+    blocks come the worker's target-set predictions at the latest epoch end.
+    """
+
+    def __init__(self, params: list[Tensor], n_predictions: int):
+        self.params = params
+        self.n = sum(t.data.size for t in params)
+        self.span = -(-(1 + self.n) // 512) * 512
+        self.n_floats = 4 * self.span + n_predictions
+
+    def bind(self, shared: np.ndarray, side: int) -> None:
+        self.side = side
+        self.blocks = shared[:4 * self.span].reshape(2, 2, self.span)[:, :, :1 + self.n]
+        self.predictions = shared[4 * self.span:]
+        self.grads = [_views(self.blocks[parity, side, 1:], self.params) for parity in (0, 1)]
+        self.total = np.empty(self.n)
+        self.total_grads = _views(self.total, self.params)
+
+    def begin(self, step: int) -> None:
+        """Point every gradient at this side's block for the step, filled with
+        -0.0, the additive identity: a half's one contribution lands as itself."""
+        self.blocks[step % 2, self.side].fill(-0.0)
+        for t, g in zip(self.params, self.grads[step % 2]):
+            t.grad = g
+
+    def finish(self, link: A.Link, step: int, loss_d: float) -> float:
+        """Hand this side's half over, take the other's, and point every
+        gradient at the parent's half plus the worker's (both sides add in that
+        order); returns the other half's D loss."""
+        parity = step % 2
+        self.blocks[parity, self.side, 0] = loss_d
+        link.send()
+        link.recv()
+        np.add(self.blocks[parity, _PARENT, 1:], self.blocks[parity, _WORKER, 1:], out=self.total)
+        for t, g in zip(self.params, self.total_grads):
+            t.grad = g
+        return float(self.blocks[parity, 1 - self.side, 0])
+
+
+def _views(flat: np.ndarray, params: list[Tensor]) -> list[np.ndarray]:
+    """Consecutive slices of flat in the shapes of params."""
+    views, at = [], 0
+    for t in params:
+        views.append(flat[at:at + t.data.size].reshape(t.data.shape))
+        at += t.data.size
+    return views
+
+
 def _evaluate(bundle: N.ModelBundle, labeled: LabeledSet) -> tuple[float, np.ndarray]:
     f = N.forward_F(bundle, Tensor(labeled.x))
     _, g = N.forward_G(bundle, f)
@@ -78,7 +136,13 @@ def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
           ) -> tuple[N.ModelBundle, A.MetricsRecord, C.RandomProjection | None]:
     """The minimax loop over explicit datasets. Target labels are touched only
     by the per-epoch evaluation, never by the optimization path. The record's
-    ``a_distance`` is left to ``run_experiment``."""
+    ``a_distance`` is left to ``run_experiment``.
+
+    With os.fork and two or more usable CPUs, a forked worker builds and
+    differentiates every step's target half, on its own replica of the model,
+    and evaluates the target set; the two swap gradients through
+    ``_SharedStep``. Otherwise both halves run here. The outputs are the same
+    bytes either way."""
     cfg.validate()
     if not set(range(cfg.n_classes)) <= set(src.y.tolist()):
         raise ConfigError(f"source set does not cover all {cfg.n_classes} classes")
@@ -101,33 +165,72 @@ def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
     src_batches = _batch_cycle(src, cfg.batch_size, derived_seed(seed, _STREAM_SRC_BATCHES))
     tgt_batches = _batch_cycle(tgt, cfg.batch_size, derived_seed(seed, _STREAM_TGT_BATCHES))
 
-    steps_per_epoch = math.ceil(src.n / cfg.batch_size)
-    record = A.MetricsRecord()
-    for step in range(cfg.total_steps):
+    def schedules(step: int) -> tuple[float, float]:
         p = step / cfg.total_steps
-        lr = opt.lr_schedule(p, schedule)
-        lambda_eff = schedule.lam * opt.lambda_schedule(p, schedule.delta)
+        return opt.lr_schedule(p, schedule), schedule.lam * opt.lambda_schedule(p, schedule.delta)
 
-        x_s, y_s = next(src_batches)
-        x_t, _ = next(tgt_batches)
-        losses = O.cdan_step_losses(x_s, y_s, x_t, bundle, strategy, proj,
-                                    lambda_eff=lambda_eff, entropy_weighting=cfg.entropy)
-        if not (math.isfinite(losses.classifier_loss) and math.isfinite(losses.discriminator_loss)):
-            raise NumericAbort(step, f"loss_cls={losses.classifier_loss}, loss_D={losses.discriminator_loss}")
-        T.backward(losses.objective)
-        optimizer.step(lr)
+    steps_per_epoch = math.ceil(src.n / cfg.batch_size)
 
-        end_of_epoch = (step + 1) % steps_per_epoch == 0 or step == cfg.total_steps - 1
-        if end_of_epoch:
-            acc_src, _ = _evaluate(bundle, src)
-            acc_tgt, g_tgt = _evaluate(bundle, tgt)
-            mean_correct, mean_incorrect = A.entropy_correctness_report(g_tgt, tgt.y)
-            record.epochs.append(A.EpochMetrics(
-                epoch=step // steps_per_epoch, step=step, lr=lr, lambda_eff=lambda_eff,
-                loss_cls=losses.classifier_loss, loss_d=losses.discriminator_loss,
-                acc_src=acc_src, acc_tgt=acc_tgt,
-                mean_w_correct=mean_correct, mean_w_incorrect=mean_incorrect,
-            ))
+    def end_of_epoch(step: int) -> bool:
+        return (step + 1) % steps_per_epoch == 0 or step == cfg.total_steps - 1
+
+    shared = _SharedStep(bundle.all_params(), tgt.n * bundle.d_g)
+
+    def target_worker(link: A.Link) -> None:
+        shared.bind(link.shared, _WORKER)
+        for step in range(cfg.total_steps):
+            lr, lambda_eff = schedules(step)
+            shared.begin(step)
+            half = O.domain_half(next(tgt_batches)[0], None, bundle, strategy, proj, lambda_eff, cfg.entropy)
+            T.backward(half.objective)
+            shared.finish(link, step, half.discriminator_loss)
+            optimizer.step(lr)
+            if end_of_epoch(step):
+                shared.predictions[:] = _evaluate(bundle, tgt)[1].reshape(-1)
+                link.send()
+
+    worker = None
+    if hasattr(os, "fork") and A._usable_cpus() >= 2:
+        worker = A.forked("training worker", target_worker, shared.n_floats)
+    record = A.MetricsRecord()
+    with worker or contextlib.nullcontext() as link:
+        if link is not None:
+            shared.bind(link.shared, _PARENT)
+        for step in range(cfg.total_steps):
+            lr, lambda_eff = schedules(step)
+            x_s, y_s = next(src_batches)
+            x_t = None
+            if link is None:
+                x_t, _ = next(tgt_batches)
+            else:
+                shared.begin(step)
+            losses = O.cdan_step_losses(x_s, y_s, x_t, bundle, strategy, proj,
+                                        lambda_eff=lambda_eff, entropy_weighting=cfg.entropy)
+            T.backward(losses.objective)
+            loss_d = losses.discriminator_loss
+            if link is not None:
+                loss_d += shared.finish(link, step, loss_d)
+            if not (math.isfinite(losses.classifier_loss) and math.isfinite(loss_d)):
+                raise NumericAbort(step, f"loss_cls={losses.classifier_loss}, loss_D={loss_d}")
+            optimizer.step(lr)
+
+            if end_of_epoch(step):
+                acc_src, _ = _evaluate(bundle, src)
+                if link is None:
+                    g_tgt = _evaluate(bundle, tgt)[1]
+                else:
+                    link.recv()
+                    g_tgt = shared.predictions.reshape(tgt.n, bundle.d_g)
+                acc_tgt = A.accuracy(g_tgt, tgt.y)
+                mean_correct, mean_incorrect = A.entropy_correctness_report(g_tgt, tgt.y)
+                record.epochs.append(A.EpochMetrics(
+                    epoch=step // steps_per_epoch, step=step, lr=lr, lambda_eff=lambda_eff,
+                    loss_cls=losses.classifier_loss, loss_d=loss_d,
+                    acc_src=acc_src, acc_tgt=acc_tgt,
+                    mean_w_correct=mean_correct, mean_w_incorrect=mean_incorrect,
+                ))
+        if link is not None:
+            link.join()
 
     return bundle, record, proj
 
@@ -147,18 +250,19 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir) -> A.MetricsRecord
     os.makedirs(out_dir, exist_ok=True)
     bundle, record, proj = train(cfg, seed, src, tgt)
 
-    def probe() -> float:
+    def probe(link: A.Link) -> None:
         f_src = N.forward_F(bundle, Tensor(src.x)).data
         f_tgt = N.forward_F(bundle, Tensor(tgt.x)).data
-        return A.proxy_a_distance(f_src, f_tgt, derived_seed(seed, _STREAM_ADIST))
+        link.shared[0] = A.proxy_a_distance(f_src, f_tgt, derived_seed(seed, _STREAM_ADIST))
 
-    with A.forked("A-distance probe", probe) as a_distance:
+    with A.forked("A-distance probe", probe) as link:
         _write_metrics(record, os.path.join(out_dir, "metrics.csv"))
         extra = {"proj.R_f": proj.r_f.data, "proj.R_g": proj.r_g.data} if proj is not None else None
         meta = {"proj.sampler": proj.sampler, "proj.seed": str(proj.seed)} if proj is not None else None
         N.save_model(bundle, os.path.join(out_dir, "model.txt"), extra_arrays=extra, meta=meta)
         A.export_features(bundle, [src, tgt], os.path.join(out_dir, "features.csv"))
-        record.a_distance = a_distance()
+        link.join()
+        record.a_distance = float(link.shared[0])
     return record
 
 

@@ -180,5 +180,7 @@ def read_arrays(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             expected = int(np.prod(shape)) if shape else 1
             if len(values) != expected:
                 raise ValueError(f"{path}: line {lineno} declares shape {shape} but has {len(values)} values")
+            if name in arrays:
+                raise ValueError(f"{path}: line {lineno} repeats the array name {name}")
             arrays[name] = np.array(values, dtype=np.float64).reshape(shape)
     return arrays, meta

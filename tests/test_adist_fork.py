@@ -18,6 +18,12 @@ OUTPUTS = ("metrics.csv", "model.txt", "features.csv")
 RUN_FLAGS = ["--dataset.n_source", "120", "--dataset.n_target", "120", "--train.total_steps", "20", "--seed", "2"]
 
 
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """The trainer forks its worker as on any machine with a second CPU."""
+    monkeypatch.setattr(A, "_usable_cpus", lambda: 2)
+
+
 def small_cfg():
     return ExperimentConfig(n_source=120, n_target=120, total_steps=40).validate()
 
@@ -39,12 +45,12 @@ def run_outputs(path, seed=3):
 
 def test_forked_probe_equals_the_inline_probe(tmp_path, monkeypatch, forks, fds):
     forked = run_outputs(tmp_path / "forked")
-    assert len(forks) == 1  # the probe; the export forks nothing
+    assert len(forks) == 2  # the training worker, then the probe; the export forks nothing
     assert_no_child_and_no_new_fd(fds)
 
     monkeypatch.delattr(os, "fork")
     assert run_outputs(tmp_path / "no_fork") == forked
-    assert len(forks) == 1
+    assert len(forks) == 2
 
 
 def test_a_failing_probe_raises_oserror_exits_2_and_leaves_nothing_behind(tmp_path, monkeypatch, capsys,
@@ -57,7 +63,7 @@ def test_a_failing_probe_raises_oserror_exits_2_and_leaves_nothing_behind(tmp_pa
         run_experiment(small_cfg(), 3, tmp_path / "api")
     assert main(["run", *RUN_FLAGS, "--out", str(tmp_path / "cli")]) == 2
     assert capsys.readouterr().err.startswith("error: A-distance probe failed with exit status 1")
-    assert len(forks) == 2
+    assert len(forks) == 4  # per run, the training worker, then the probe
     assert_no_child_and_no_new_fd(fds)
 
 
@@ -76,5 +82,5 @@ def test_an_interrupted_parent_kills_and_reaps_the_probe(tmp_path, monkeypatch, 
         run_experiment(small_cfg(), 3, tmp_path)
     assert time.monotonic() - start < 30
     assert (tmp_path / "model.txt").exists()  # interrupted during the export, after the other writes
-    assert len(forks) == 1
+    assert len(forks) == 2  # the training worker, reaped when training ended, then the probe
     assert_no_child_and_no_new_fd(fds)

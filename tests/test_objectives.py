@@ -100,14 +100,15 @@ def test_entropy_weight_range_on_simplex_rows(raw):
 
 def test_adversarial_loss_at_half_is_2_log_2():
     z = Tensor(np.zeros((6, 1)))  # logit 0: d = 0.5
-    loss = O.adversarial_losses(z, z)
-    assert loss.item() == pytest.approx(2 * math.log(2), abs=1e-12)
+    loss = O.adversarial_losses(z, True).item() + O.adversarial_losses(z, False).item()
+    assert loss == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
 def test_adversarial_loss_vanishes_for_perfect_discriminator():
     # Logits of +-40 put d on the clip: 1 - 1e-12 on source rows, 1e-12 on target rows.
-    loss = O.adversarial_losses(Tensor(np.full((6, 1), 40.0)), Tensor(np.full((6, 1), -40.0)))
-    assert 0.0 <= loss.item() < 1e-9
+    loss = (O.adversarial_losses(Tensor(np.full((6, 1), 40.0)), True).item()
+            + O.adversarial_losses(Tensor(np.full((6, 1), -40.0)), False).item())
+    assert 0.0 <= loss < 1e-9
 
 
 def test_weighted_mean_matches_brute_force_and_ignores_weight_scale():
@@ -117,20 +118,20 @@ def test_weighted_mean_matches_brute_force_and_ignores_weight_scale():
     w_src = rng.uniform(1.0, 2.0, 10)
     w_tgt = rng.uniform(1.0, 2.0, 10)
 
-    loss = O.adversarial_losses(Tensor(z_src), Tensor(z_tgt), Tensor(w_src), Tensor(w_tgt))
+    def loss(scale):
+        return (O.adversarial_losses(Tensor(z_src), True, Tensor(scale * w_src)).item()
+                + O.adversarial_losses(Tensor(z_tgt), False, Tensor(scale * w_tgt)).item())
+
     d_src, d_tgt = 1.0 / (1.0 + np.exp(-z_src[:, 0])), 1.0 / (1.0 + np.exp(-z_tgt[:, 0]))
     brute = (-(w_src * np.log(d_src)).sum() / w_src.sum()
              - (w_tgt * np.log(1.0 - d_tgt)).sum() / w_tgt.sum())
-    assert loss.item() == pytest.approx(brute, abs=1e-12)
-
-    doubled = O.adversarial_losses(Tensor(z_src), Tensor(z_tgt), Tensor(2 * w_src), Tensor(2 * w_tgt))
-    assert doubled.item() == loss.item()
+    assert loss(1.0) == pytest.approx(brute, abs=1e-12)
+    assert loss(2.0) == loss(1.0)
 
 
 def test_weight_length_mismatch():
     with pytest.raises(ValueError, match="weight shape"):
-        O.adversarial_losses(Tensor(np.zeros((4, 1))), Tensor(np.zeros((4, 1))),
-                             Tensor(np.ones(3)), None)
+        O.adversarial_losses(Tensor(np.zeros((4, 1))), True, Tensor(np.ones(3)))
 
 
 # --- full step ---------------------------------------------------------------
@@ -326,3 +327,43 @@ def test_target_labels_have_no_loss_parameter():
     params = inspect.signature(O.cdan_step_losses).parameters
     assert "y_src" in params
     assert not any("y_tgt" in name or name == "labels_tgt" for name in params)
+
+
+# --- one contribution per domain ---------------------------------------------
+
+
+STEP_STRATEGIES = [C.ConditioningStrategy(tag) for tag in (C.FEATURE_ONLY, C.PREDICTION_ONLY, C.CONCAT,
+                                                            C.MULTILINEAR)]
+STEP_STRATEGIES += [C.ConditioningStrategy(C.RANDOMIZED_MULTILINEAR, d=7, sampler=sampler, normalize_features=norm)
+                    for sampler in C.SAMPLERS for norm in (False, True)]
+
+
+@pytest.mark.parametrize("entropy_weighting", [False, True], ids=["plain", "entropy"])
+@pytest.mark.parametrize("strategy", STEP_STRATEGIES,
+                         ids=lambda s: f"{s.tag}-{s.sampler}{'-normalized' * s.normalize_features}")
+def test_a_step_gives_each_tensor_one_contribution_per_domain(monkeypatch, strategy, entropy_weighting):
+    # The trainer differentiates a step's two halves apart, in two processes
+    # when it can, and adds their gradients: the bits of one graph only while
+    # no tensor's gradient sums more than two terms, in any order.
+    x_src, y_src, x_tgt = toy_batches(seed=9)
+    width = C.conditioned_dim(strategy, 5, 3)
+    bundle = N.init_model(N.MlpSpec((2, 6, 5)), N.MlpSpec((5, 3)), N.MlpSpec((width, 6, 1)), seed=2)
+    proj = C.sample_projection(strategy.d, 5, 3, strategy.sampler, seed=4)
+    contributions = {}  # id -> (tensor, domains of its contributions)
+    accumulate = T._accumulate
+
+    def counting(t, g):
+        contributions.setdefault(id(t), (t, []))[1].append(domain)
+        accumulate(t, g)
+
+    monkeypatch.setattr(T, "_accumulate", counting)
+    for domain, x, y in (("source", x_src, y_src), ("target", x_tgt, None)):
+        half = O.domain_half(x, y, bundle, strategy, proj, lambda_eff=0.5, entropy_weighting=entropy_weighting)
+        T.backward(half.objective)
+
+    params = {id(p) for p in bundle.all_params()}
+    assert params <= contributions.keys()
+    for key, (t, domains) in contributions.items():
+        assert len(domains) <= 2, f"{t} got {len(domains)} gradient contributions"
+        if key in params:
+            assert sorted(domains) in (["source"], ["source", "target"]), f"{t} got contributions {domains}"

@@ -97,7 +97,8 @@ def test_block_edges(d, offset, tail):
     ("F.0.b\n", "malformed tensor line 2"),
     ("F.0.b 1 3 0x1p+0 0x1p+1\n", "line 2 declares shape (3,) but has 2 values"),
     ("F.0.W 2 2 2 0x1p+0\n", "line 2 declares shape (2, 2) but has 1 values"),
-], ids=["bad-rank", "no-rank", "short-vector", "short-matrix"])
+    ("F.0.b 1 1 0x1p+0\nF.0.b 1 1 0x1p+1\n", "line 3 repeats the array name F.0.b"),
+], ids=["bad-rank", "no-rank", "short-vector", "short-matrix", "repeated-name"])
 def test_a_bad_array_line_is_named(tmp_path, line, message):
     path = tmp_path / "arrays.txt"
     path.write_text("# F.head linear\n" + line)

@@ -234,8 +234,10 @@ def recorded_nodes(root):
 
 
 @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
-def test_randomized_cdan_e_step_records_15_nodes(normalize):
-    assert recorded_nodes(randomized_step("gaussian", normalize)[1]) == 15
+def test_randomized_cdan_e_step_records_17_nodes(normalize):
+    # 8 in the source half, 7 in the target half, the source half's add of its
+    # two losses and the add that joins the halves.
+    assert recorded_nodes(randomized_step("gaussian", normalize)[1]) == 17
 
 
 def test_multilinear_map_shape_error_names_both_shapes():
@@ -267,15 +269,13 @@ def weighted_mean_chain(values, weights):
     return H.div(H.tsum(H.mul(values, weights)), H.tsum(weights))
 
 
-def adversarial_chain(z_src, z_tgt, w_src, w_tgt):
+def adversarial_chain(z, source, w):
     """The op chain that one ``O.adversarial_losses`` node replaces, sigmoid
-    heads included."""
-    d_src = H.reshape(H.sigmoid(z_src), (z_src.shape[0],))
-    d_tgt = H.reshape(H.sigmoid(z_tgt), (z_tgt.shape[0],))
-    loss_src = weighted_mean_chain(H.scale(H.log(d_src), -1.0), w_src)
-    one_minus = T.add(H.scale(d_tgt, -1.0), Tensor(np.ones(d_tgt.shape)))
-    loss_tgt = weighted_mean_chain(H.scale(H.log(one_minus), -1.0), w_tgt)
-    return T.add(loss_src, loss_tgt)
+    head included."""
+    d = H.reshape(H.sigmoid(z), (z.shape[0],))
+    if not source:
+        d = T.add(H.scale(d, -1.0), Tensor(np.ones(d.shape)))
+    return weighted_mean_chain(H.scale(H.log(d), -1.0), w)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -283,14 +283,12 @@ def adversarial_chain(z_src, z_tgt, w_src, w_tgt):
 def test_adversarial_losses_match_their_op_chain(weighted, case):
     rng = np.random.default_rng(len(case) + weighted)
     n = 1 if case == "one_row" else 9
-    z_src = rng.uniform(-3.0, 3.0, (n, 1))
-    z_tgt = rng.uniform(-3.0, 3.0, (n, 1))
-    if case == "saturated":  # beyond the clip: both heads sit on LOG_CLAMP or 1 - LOG_CLAMP
-        z_src[:3, 0] = [-40.0, -1e3, 40.0]
-        z_tgt[:3, 0] = [40.0, 1e3, -40.0]
-    weights = [Tensor(rng.uniform(1.0, 2.0, n)), Tensor(rng.uniform(1.0, 2.0, n))] if weighted else [None, None]
-    run_both(lambda s, t: O.adversarial_losses(s, t, *weights),
-             lambda s, t: adversarial_chain(s, t, *weights), [z_src, z_tgt])
+    for source in (True, False):
+        z = rng.uniform(-3.0, 3.0, (n, 1))
+        if case == "saturated":  # beyond the clip: the head sits on LOG_CLAMP or 1 - LOG_CLAMP
+            z[:3, 0] = [-40.0, -1e3, 40.0]
+        w = Tensor(rng.uniform(1.0, 2.0, n)) if weighted else None
+        run_both(lambda z: O.adversarial_losses(z, source, w), lambda z: adversarial_chain(z, source, w), [z])
 
 
 def test_entropy_weights_match_their_op_chain():
