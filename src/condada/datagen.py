@@ -203,21 +203,18 @@ def load_csv(path, domain: str = "source", n_classes: int | None = None) -> Labe
     labels: list[int] = []
     linenos: list[int] = []  # each data row's line number, for the non-finite check
     width = None
-    header_checked = False
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             fields = line.split(",")
-            if not header_checked:  # only the first non-blank line may be a header
-                header_checked = True
-                if _looks_like_header(fields):
-                    continue
-            if width is None:
+            if width is None:  # the first non-blank line, which alone may be a header, sets the width
                 width = len(fields)
                 if width < 2:
                     raise ValueError(f"{path}: need at least one feature column and a label column")
+                if _looks_like_header(fields):
+                    continue
             elif len(fields) != width:
                 raise ValueError(f"{path}: ragged row at line {lineno} ({len(fields)} fields, expected {width})")
             try:

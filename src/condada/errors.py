@@ -6,8 +6,8 @@ class ConfigError(ValueError):
 
 
 class NumericAbort(RuntimeError):
-    """Training produced a non-finite loss; carries the offending step index."""
+    """Training produced a non-finite loss or gradient; carries the offending step index."""
 
-    def __init__(self, step: int, message: str):
-        super().__init__(f"non-finite loss at step {step}: {message}")
+    def __init__(self, step: int, what: str, message: str):
+        super().__init__(f"non-finite {what} at step {step}: {message}")
         self.step = step

@@ -133,6 +133,9 @@ def load_model(path) -> tuple[ModelBundle, dict[str, np.ndarray], dict[str, str]
     """Rebuild a bundle from a saved file; extra (non-layer) arrays come back verbatim.
     Each network's layers are ``{tag}.0``, ``{tag}.1``, ..., read while either array of an index is present."""
     arrays, meta = serialize.read_arrays(path)
+    bad = next((name for name, a in arrays.items() if not np.isfinite(a).all()), None)
+    if bad is not None:
+        raise ValueError(f"{path}: array {bad} holds a non-finite value")
     networks = []
     for tag in ("F", "G", "D"):
         layers = []

@@ -59,22 +59,31 @@ class SgdMomentum:
     """Classical momentum, v <- momentum*v + grad; param <- param - lr*v, in
     place, with a learning-rate multiplier per parameter group.
 
-    Groups hold live parameter tensors; step() consumes and clears their grads.
+    The groups' parameters are laid out flat, in group order, in three arrays,
+    ``data``, ``grad`` and ``velocity``, and each parameter's ``data`` and
+    ``grad`` become fixed views into the first two, so a backward accumulates
+    into ``grad``. It starts, and step() leaves it, filled with -0.0, the
+    additive identity: a parameter's first contribution lands as itself.
     """
 
     def __init__(self, groups: list[tuple[list[Tensor], float]], momentum: float):
-        self.groups = groups
         self.momentum = momentum
-        self.velocity = [[np.zeros_like(t.data) for t in params] for params, _ in groups]
+        self.data = np.concatenate([t.data.reshape(-1) for params, _ in groups for t in params])
+        self.grad = np.full(self.data.size, -0.0)
+        self.velocity = np.zeros(self.data.size)
+        self.slices, at = [], 0
+        for params, mult in groups:
+            start = at
+            for t in params:
+                view = slice(at, at + t.data.size)
+                t.data, t.grad = self.data[view].reshape(t.data.shape), self.grad[view].reshape(t.data.shape)
+                at = view.stop
+            self.slices.append((slice(start, at), mult))
 
     def step(self, eta: float) -> None:
-        for gi, (params, mult) in enumerate(self.groups):
-            lr = eta * mult
-            for t, v in zip(params, self.velocity[gi]):
-                if t.grad is not None and t.grad.shape != v.shape:
-                    raise ValueError(f"gradient shape {t.grad.shape} does not match parameter shape {v.shape}")
-                v *= self.momentum
-                if t.grad is not None:
-                    v += t.grad
-                t.data -= lr * v
-                t.grad = None
+        for s, mult in self.slices:
+            v = self.velocity[s]
+            v *= self.momentum
+            v += self.grad[s]
+            self.data[s] -= (eta * mult) * v
+        self.grad.fill(-0.0)

@@ -76,54 +76,33 @@ class _SharedStep:
     """The mapping that the trainer shares with its worker, and one side's use of it.
 
     Per step parity it holds two blocks, the parent's then the worker's: the
-    D loss of that side's half, then every parameter's gradient, flat in
-    order, each block spanning whole 4 KiB pages. A side writes its block of
-    step s while the other may still read its block of step s - 1. After the
-    blocks come the worker's target-set predictions at the latest epoch end.
+    D loss of that side's half, then its flat gradient (``SgdMomentum.grad``),
+    each block spanning whole 4 KiB pages. A side writes its block of step s
+    while the other may still read its block of step s - 1. After the blocks
+    come the worker's target-set predictions at the latest epoch end.
     """
 
-    def __init__(self, params: list[Tensor], n_predictions: int):
-        self.params = params
-        self.n = sum(t.data.size for t in params)
-        self.span = -(-(1 + self.n) // 512) * 512
+    def __init__(self, n: int, n_predictions: int):
+        self.n = n
+        self.span = -(-(1 + n) // 512) * 512
         self.n_floats = 4 * self.span + n_predictions
 
     def bind(self, shared: np.ndarray, side: int) -> None:
         self.side = side
         self.blocks = shared[:4 * self.span].reshape(2, 2, self.span)[:, :, :1 + self.n]
         self.predictions = shared[4 * self.span:]
-        self.grads = [_views(self.blocks[parity, side, 1:], self.params) for parity in (0, 1)]
-        self.total = np.empty(self.n)
-        self.total_grads = _views(self.total, self.params)
 
-    def begin(self, step: int) -> None:
-        """Point every gradient at this side's block for the step, filled with
-        -0.0, the additive identity: a half's one contribution lands as itself."""
-        self.blocks[step % 2, self.side].fill(-0.0)
-        for t, g in zip(self.params, self.grads[step % 2]):
-            t.grad = g
-
-    def finish(self, link: A.Link, step: int, loss_d: float) -> float:
-        """Hand this side's half over, take the other's, and point every
-        gradient at the parent's half plus the worker's (both sides add in that
-        order); returns the other half's D loss."""
-        parity = step % 2
-        self.blocks[parity, self.side, 0] = loss_d
+    def finish(self, link: A.Link, step: int, grad: np.ndarray, loss_d: float) -> float:
+        """Copy this side's half into its block, hand it over, take the other's,
+        and leave the parent's half plus the worker's in grad (both sides add
+        in that order); returns the other half's D loss."""
+        blocks = self.blocks[step % 2]
+        blocks[self.side, 0] = loss_d
+        blocks[self.side, 1:] = grad
         link.send()
         link.recv()
-        np.add(self.blocks[parity, _PARENT, 1:], self.blocks[parity, _WORKER, 1:], out=self.total)
-        for t, g in zip(self.params, self.total_grads):
-            t.grad = g
-        return float(self.blocks[parity, 1 - self.side, 0])
-
-
-def _views(flat: np.ndarray, params: list[Tensor]) -> list[np.ndarray]:
-    """Consecutive slices of flat in the shapes of params."""
-    views, at = [], 0
-    for t in params:
-        views.append(flat[at:at + t.data.size].reshape(t.data.shape))
-        at += t.data.size
-    return views
+        np.add(blocks[_PARENT, 1:], blocks[_WORKER, 1:], out=grad)
+        return float(blocks[1 - self.side, 0])
 
 
 def _evaluate(bundle: N.ModelBundle, labeled: LabeledSet) -> tuple[float, np.ndarray]:
@@ -174,16 +153,15 @@ def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
     def end_of_epoch(step: int) -> bool:
         return (step + 1) % steps_per_epoch == 0 or step == cfg.total_steps - 1
 
-    shared = _SharedStep(bundle.all_params(), tgt.n * bundle.d_g)
+    shared = _SharedStep(optimizer.grad.size, tgt.n * bundle.d_g)
 
     def target_worker(link: A.Link) -> None:
         shared.bind(link.shared, _WORKER)
         for step in range(cfg.total_steps):
             lr, lambda_eff = schedules(step)
-            shared.begin(step)
             half = O.domain_half(next(tgt_batches)[0], None, bundle, strategy, proj, lambda_eff, cfg.entropy)
             T.backward(half.objective)
-            shared.finish(link, step, half.discriminator_loss)
+            shared.finish(link, step, optimizer.grad, half.discriminator_loss)
             optimizer.step(lr)
             if end_of_epoch(step):
                 shared.predictions[:] = _evaluate(bundle, tgt)[1].reshape(-1)
@@ -199,19 +177,18 @@ def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
         for step in range(cfg.total_steps):
             lr, lambda_eff = schedules(step)
             x_s, y_s = next(src_batches)
-            x_t = None
-            if link is None:
-                x_t, _ = next(tgt_batches)
-            else:
-                shared.begin(step)
+            x_t = next(tgt_batches)[0] if link is None else None
             losses = O.cdan_step_losses(x_s, y_s, x_t, bundle, strategy, proj,
                                         lambda_eff=lambda_eff, entropy_weighting=cfg.entropy)
             T.backward(losses.objective)
             loss_d = losses.discriminator_loss
             if link is not None:
-                loss_d += shared.finish(link, step, loss_d)
+                loss_d += shared.finish(link, step, optimizer.grad, loss_d)
             if not (math.isfinite(losses.classifier_loss) and math.isfinite(loss_d)):
-                raise NumericAbort(step, f"loss_cls={losses.classifier_loss}, loss_D={loss_d}")
+                raise NumericAbort(step, "loss", f"loss_cls={losses.classifier_loss}, loss_D={loss_d}")
+            finite = np.isfinite(optimizer.grad)
+            if not finite.all():
+                raise NumericAbort(step, "gradient", f"{finite.size - finite.sum()} of {finite.size} entries")
             optimizer.step(lr)
 
             if end_of_epoch(step):

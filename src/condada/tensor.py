@@ -90,6 +90,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         # Stored as is: a backward that would pass on a view of out.grad copies it.
         t.grad = g
+    elif t.grad.shape != g.shape:  # += would broadcast a (1,) gradient onto a (2,) one
+        raise ValueError(f"gradient shape {g.shape} does not match shape {t.grad.shape}")
     else:
         t.grad += g
 

@@ -454,6 +454,22 @@ def test_export_features_from_a_model_with_a_renamed_layer_is_exit_2(tmp_path, c
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_export_features_from_a_model_with_a_nan_weight_is_exit_2(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    base = ["--dataset.n_source", "120", "--dataset.n_target", "120", "--train.total_steps", "20"]
+    assert main(["run", *base, "--seed", "0", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.txt"
+    lines = (run_dir / "model.txt").read_text().splitlines(keepends=True)
+    bad.write_text("".join(" ".join(line.split()[:4] + ["nan"] + line.split()[5:]) + "\n"
+                           if line.startswith("F.0.W ") else line for line in lines))
+    code = main(["export-features", *base, "--seed", "0", "--out", str(run_dir),
+                 "--model", str(bad), "--output", str(tmp_path / "f.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}: array F.0.W holds a non-finite value\n"
+    assert not (tmp_path / "f.csv").exists()
+
+
 @pytest.mark.parametrize("case", ["missing-target", "widths-differ"])
 def test_a_bad_csv_pair_exits_2_naming_the_file(tmp_path, capsys, case):
     rng = np.random.default_rng(0)

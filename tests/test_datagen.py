@@ -168,6 +168,15 @@ def test_csv_errors(tmp_path, content, message):
     assert str(info.value).startswith(f"{path}: ")
 
 
+def test_a_row_wider_than_the_header_is_the_one_named(tmp_path):
+    # The header sets the width: the stray field on line 2 is the fault, not line 3.
+    path = tmp_path / "wide.csv"
+    path.write_text("x0,x1,label\n0.5,1.5,0,1\n-1.0,2.0,1\n")
+    with pytest.raises(ValueError) as info:
+        D.load_csv(path, domain="target", n_classes=2)
+    assert str(info.value) == f"{path}: ragged row at line 2 (4 fields, expected 3)"
+
+
 def test_a_source_csv_missing_a_class_is_named(tmp_path):
     path = tmp_path / "src.csv"
     path.write_text("0.5,1.5,0\n1.0,2.0,2\n")

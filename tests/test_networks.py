@@ -174,6 +174,18 @@ def test_a_network_with_no_layers_is_named(tmp_path):
     assert str(info.value) == f"{path}: no layers found for network G"
 
 
+@pytest.mark.parametrize("name", ["F.0.W", "D.1.b", "proj.R_f"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_array_is_named(tmp_path, name, value):
+    # read_arrays round-trips non-finite values; a model must not hold one.
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(" ".join(line.split()[:-1] + [value]) + "\n" if line.startswith(f"{name} ") else line
+                            for line in saved_lines(tmp_path)))
+    with pytest.raises(ValueError) as info:
+        N.load_model(path)
+    assert str(info.value) == f"{path}: array {name} holds a non-finite value"
+
+
 def test_names_beside_the_layers_come_back_as_extras(tmp_path):
     path = tmp_path / "extras.txt"
     path.write_text(rewrite(saved_lines(tmp_path), {"proj.R_f": "F.0.W.old"}))

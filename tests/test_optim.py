@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from condada import optim
+from condada import tensor as T
 from condada.errors import ConfigError
 from condada.optim import ScheduleParams, lambda_schedule, lr_schedule
 from condada.tensor import Tensor
@@ -77,18 +78,18 @@ def sgd_momentum_step(params, grads, velocity, eta, momentum):
 def test_zero_momentum_is_plain_sgd():
     t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     sgd = optim.SgdMomentum([([t], 1.0)], momentum=0.0)
-    t.grad = np.array([0.5, -0.5])
+    t.grad[...] = [0.5, -0.5]
     sgd.step(0.1)
     np.testing.assert_allclose(t.data, [0.95, 2.05])
-    np.testing.assert_allclose(sgd.velocity[0][0], [0.5, -0.5])
-    assert t.grad is None
+    np.testing.assert_allclose(sgd.velocity, [0.5, -0.5])
+    assert t.grad.tobytes() == np.full(2, -0.0).tobytes()  # the additive identity, ready for the next backward
 
 
 def test_zero_gradients_leave_params_fixed():
     t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     sgd = optim.SgdMomentum([([t], 1.0)], momentum=0.9)
     for _ in range(5):
-        t.grad = np.zeros(2)
+        t.grad[...] = 0.0
         sgd.step(0.1)
     np.testing.assert_array_equal(t.data, [1.0, 2.0])
 
@@ -99,36 +100,52 @@ def test_two_steps_with_constant_gradient_displace_by_2_9_g():
     t = Tensor(np.zeros(2), requires_grad=True)
     sgd = optim.SgdMomentum([([t], 1.0)], momentum=0.9)
     for _ in range(2):
-        t.grad = g.copy()
+        t.grad[...] = g
         sgd.step(1.0)
     np.testing.assert_allclose(t.data, -2.9 * g, rtol=0, atol=1e-15)
 
 
 def test_sgd_shape_mismatch():
-    # A (1,) gradient would broadcast onto the (2,) parameter and move both entries.
+    # A (1,) gradient would broadcast onto the (2,) one and move both entries;
+    # the tape rejects it where it accumulates, before any step.
     for grad in (np.zeros(3), np.array([1.0])):
         t = Tensor(np.zeros(2), requires_grad=True)
-        sgd = optim.SgdMomentum([([t], 1.0)], momentum=0.9)
-        t.grad = grad
-        with pytest.raises(ValueError, match=rf"gradient shape \({grad.size},\) does not match parameter shape"):
-            sgd.step(0.1)
-        np.testing.assert_array_equal(t.data, [0.0, 0.0])
+        optim.SgdMomentum([([t], 1.0)], momentum=0.9)
+        with pytest.raises(ValueError, match=rf"gradient shape \({grad.size},\) does not match shape \(2,\)"):
+            T._accumulate(t, grad)
+        assert t.grad.tobytes() == np.full(2, -0.0).tobytes()
+
+
+def test_every_parameter_is_a_view_of_the_flat_buffers():
+    rng = np.random.default_rng(1)
+    params = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((3, 2), (2,), (2, 1), (1,))]
+    before = [t.data.copy() for t in params]
+    sgd = optim.SgdMomentum([(params[:2], 1.0), (params[2:], 0.1)], momentum=0.9)
+    for t, data in zip(params, before):
+        assert np.shares_memory(t.data, sgd.data) and np.shares_memory(t.grad, sgd.grad)
+        np.testing.assert_array_equal(t.data, data)
+    assert sgd.data.size == sgd.grad.size == sgd.velocity.size == 6 + 2 + 2 + 1
 
 
 def test_stateful_wrapper_matches_functional_core():
     # In place, v *= m; v += g; data -= lr*v computes the oracle's
-    # expressions in the same order, so the results are equal bit for bit.
+    # expressions in the same order, so the results are equal bit for bit,
+    # each group at its own multiplier.
     rng = np.random.default_rng(0)
-    data = rng.standard_normal((3, 3))
-    grads = [rng.standard_normal((3, 3)) for _ in range(3)]
+    shapes, mults = ((3, 3), (3,), (3, 1), (1,)), (1.0, 1.0, 2.0, 2.0)
+    data = [rng.standard_normal(shape) for shape in shapes]
+    steps = [[rng.standard_normal(shape) for shape in shapes] for _ in range(3)]
 
-    for mult in (1.0, 2.0):
-        t = Tensor(data.copy(), requires_grad=True)
-        wrapper = optim.SgdMomentum([([t], mult)], momentum=0.9)
-        p, v = [data.copy()], [np.zeros_like(data)]
-        for g in grads:
-            t.grad = g.copy()
-            wrapper.step(0.05)
-            p, v = sgd_momentum_step(p, [g], v, eta=0.05 * mult, momentum=0.9)
-        np.testing.assert_array_equal(t.data, p[0])
-        np.testing.assert_array_equal(wrapper.velocity[0][0], v[0])
+    params = [Tensor(d.copy(), requires_grad=True) for d in data]
+    sgd = optim.SgdMomentum([(params[:2], 1.0), (params[2:], 2.0)], momentum=0.9)
+    p, v = [d.copy() for d in data], [np.zeros_like(d) for d in data]
+    for grads in steps:
+        for t, g in zip(params, grads):
+            T._accumulate(t, g)
+        sgd.step(0.05)
+        stepped = [sgd_momentum_step([pi], [g], [vi], eta=0.05 * mult, momentum=0.9)
+                   for pi, g, vi, mult in zip(p, grads, v, mults)]
+        p, v = [s[0][0] for s in stepped], [s[1][0] for s in stepped]
+    for t, expected in zip(params, p):
+        assert t.data.tobytes() == expected.tobytes()
+    assert sgd.velocity.tobytes() == np.concatenate([vi.reshape(-1) for vi in v]).tobytes()

@@ -7,12 +7,14 @@ import os
 import numpy as np
 import pytest
 
+import condada.analysis as A
 import condada.datagen as D
 import condada.networks as N
 import condada.objectives as O
 import condada.optim as opt
 from condada import tensor as T
 from condada.analysis import accuracy
+from condada.cli import main
 from condada.config import ExperimentConfig
 from condada.errors import ConfigError, NumericAbort
 from condada.runner import (_STREAM_SRC_BATCHES, METRICS_HEADER, apply_variant, compare, derived_seed,
@@ -81,6 +83,60 @@ def test_lambda_zero_run_equals_supervised_pipeline(tmp_path):
     for p, q in zip(trained.params_f() + trained.params_g(),
                     oracle_bundle.params_f() + oracle_bundle.params_g()):
         assert p.data.tobytes() == q.data.tobytes()
+
+
+@pytest.fixture
+def optimizers(monkeypatch):
+    """(optimizer, its parameters) of every SgdMomentum made in this process."""
+    made = []
+
+    class Recording(opt.SgdMomentum):
+        def __init__(self, groups, momentum):
+            super().__init__(groups, momentum)
+            made.append((self, [t for params, _ in groups for t in params]))
+
+    monkeypatch.setattr(opt, "SgdMomentum", Recording)
+    return made
+
+
+def test_trainer_and_probe_parameters_are_views_of_their_optimizer(optimizers):
+    cfg = apply_variant(short_cfg(total_steps=20), "cdan_e")
+    src, tgt = cfg.make_dataset(0)
+    bundle, _, _ = train(cfg, 0, src, tgt)
+    A.proxy_a_distance(N.forward_F(bundle, Tensor(src.x)).data, N.forward_F(bundle, Tensor(tgt.x)).data, 0)
+    (_, trained), (_, probed) = optimizers
+    assert list(map(id, trained)) == list(map(id, bundle.all_params()))
+    assert len(probed) == 4  # the probe's two layers
+    for optimizer, params in optimizers:
+        for t in params:
+            assert np.shares_memory(t.data, optimizer.data) and np.shares_memory(t.grad, optimizer.grad)
+
+
+def test_a_non_finite_summed_gradient_aborts_at_its_step(tmp_path, monkeypatch, capsys, optimizers):
+    # A nan planted in the parent's gradient after the last step's backward
+    # reaches the summed gradient on either path; the losses stay finite, so
+    # only the gradient check can stop the run before it saves the nan.
+    steps, parent, backward, calls = 20, os.getpid(), T.backward, []
+
+    def planted(loss):
+        backward(loss)
+        if os.getpid() == parent:
+            calls.append(None)
+            if len(calls) == steps:
+                optimizers[-1][0].grad[0] = np.nan
+
+    monkeypatch.setattr(T, "backward", planted)
+    errors = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(A, "_usable_cpus", lambda: cpus)
+        calls.clear()
+        argv = ["run", "--train.total_steps", str(steps), "--dataset.n_source", "120",
+                "--dataset.n_target", "120", "--seed", "0", "--out", str(tmp_path / f"cpus_{cpus}")]
+        assert main(argv) == 3
+        errors.append(capsys.readouterr().err)
+    size = optimizers[-1][0].grad.size
+    assert errors == [f"numeric abort: non-finite gradient at step {steps - 1}: 1 of {size} entries\n"] * 2
+    assert not (tmp_path / "cpus_1" / "model.txt").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -371,3 +371,18 @@ def test_every_public_tensor_function_has_a_caller_in_src():
         called |= {name for name, owner in refs if name != owner}
     assert public
     assert sorted(public - called) == []
+
+
+def test_grad_is_bound_only_by_the_tape_and_the_optimizer():
+    # SgdMomentum binds each parameter's grad to a view of its flat buffer
+    # once; any other rebinding would leave the backward adding elsewhere.
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    sites |= {(path.name, getattr(stmt, "name", None))
+                              for target in getattr(node, "targets", None) or [node.target]
+                              for leaf in ast.walk(target) if isinstance(leaf, ast.Attribute) and leaf.attr == "grad"}
+    assert sorted(sites) == [("optim.py", "SgdMomentum"), ("tensor.py", "Tensor"),
+                             ("tensor.py", "_accumulate"), ("tensor.py", "backward")]
