@@ -4,6 +4,7 @@ verifier, entropy/correctness grouping, and feature export."""
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 from dataclasses import dataclass, field
 
@@ -93,7 +94,7 @@ def proxy_a_distance(f_src: np.ndarray, f_tgt: np.ndarray, seed: int) -> float:
     layers[-1][0].data[...] = 0.0  # drawn, then zeroed: the hidden layer keeps the stream's first draws
     optimizer = optim.SgdMomentum([([t for pair in layers for t in pair], 1.0)], _ADIST_MOMENTUM)
 
-    x_const = Tensor(x_train)
+    x_const = Tensor(np.asfortranarray(x_train))  # column-major: the weight gradient's x.T is contiguous
     one_minus_y = 1.0 - y_train
     for _ in range(_ADIST_EPOCHS):
         T.backward(_probe_loss(T.mlp(x_const, layers), y_train, one_minus_y))
@@ -249,15 +250,36 @@ def entropy_correctness_report(g_probs_tgt: np.ndarray, labels_tgt: np.ndarray) 
     return mean_correct, mean_incorrect
 
 
-def export_features(bundle: N.ModelBundle, sets: list[LabeledSet], path) -> None:
+def export_features(bundle: N.ModelBundle, sets: list[LabeledSet], path, fork_last: bool = False) -> None:
     """Write one CSV row per example: feature coordinates (floats by repr),
-    label, domain. The rows are formatted by ``serialize.write_csv_rows``."""
-    header = ",".join(f"f{i}" for i in range(bundle.d_f)) + ",label,domain\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for labeled in sets:
-            feats = N.forward_F(bundle, Tensor(labeled.x)).data
-            serialize.write_csv_rows(fh, feats, labeled.y, f",{labeled.domain}")
+    label, domain, formatted by ``serialize.write_csv_rows``. With ``fork_last``
+    (``export-features``; in ``run_experiment`` the probe holds the second CPU),
+    os.fork and two usable CPUs, a child forked through ``forked`` formats the
+    last set in memory while the parent writes the rest, then os.pwrites it at
+    the offset the parent publishes. The bytes are the same either way."""
+    def write_rows(fh, labeled: LabeledSet) -> None:
+        feats = N.forward_F(bundle, Tensor(labeled.x)).data
+        serialize.write_csv_rows(fh, feats, labeled.y, f",{labeled.domain}")
+
+    def format_last(link: Link) -> None:
+        rows = io.BytesIO()
+        write_rows(rows, sets[-1])
+        link.recv()  # the parent has flushed and published its end offset
+        data, at = rows.getbuffer(), int(link.shared[0])
+        while data:
+            written = os.pwrite(fh.fileno(), data, at)
+            data, at = data[written:], at + written
+
+    split = fork_last and len(sets) > 1 and hasattr(os, "fork") and _usable_cpus() >= 2
+    with open(path, "wb") as fh, forked("feature export", format_last) if split else contextlib.nullcontext() as link:
+        fh.write((",".join(f"f{i}" for i in range(bundle.d_f)) + ",label,domain\n").encode("ascii"))
+        for labeled in sets[:-1] if split else sets:
+            write_rows(fh, labeled)
+        if split:
+            fh.flush()
+            link.shared[0] = fh.tell()
+            link.send()
+            link.join()
 
 
 class Link:

@@ -106,7 +106,7 @@ def _cmd_export_features(args) -> int:
             raise ConfigError(f"{model_path}: network {tag} has widths {saved.widths}, "
                               f"the config gives {wanted.widths}")
     out_path = args.output or os.path.join(args.out, "features.csv")
-    A.export_features(bundle, [src, tgt], out_path)
+    A.export_features(bundle, [src, tgt], out_path, fork_last=True)
     print(f"features written to {out_path}")
     return EXIT_OK
 

@@ -172,8 +172,10 @@ def parse_config_lines(lines, origin: str = "<config>") -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{origin}: line {lineno} is not 'key = value': {line!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in pairs:
+            raise ConfigError(f"{origin}: line {lineno} repeats the key {key}")
+        pairs[key] = value
     return pairs
 
 

@@ -8,6 +8,7 @@ marginal-only alignment can pair the wrong modes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,62 +187,70 @@ def save_csv(labeled: LabeledSet, path) -> None:
         serialize.write_csv_rows(fh, labeled.x, labeled.y)
 
 
-def _looks_like_header(fields: list[str]) -> bool:
-    # Header iff no field is numeric; a data row with one corrupt field still
-    # gets reported as a data error rather than silently skipped.
-    for token in fields:
-        try:
-            float(token)
-            return False
-        except ValueError:
-            continue
-    return True
+def _converts(token: str, dtype) -> bool:
+    try:
+        np.array(token, dtype=dtype)
+        return True
+    except (ValueError, OverflowError):
+        return False
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in mask, or its length if there is none."""
+    return int(np.append(mask, True).argmax())
+
+
+def _cast(tokens: list[str], dtype) -> tuple[np.ndarray, int]:
+    """The tokens by one numpy cast (str to float64 is ``float()``, str to int64
+    is ``int()``) and their count, or, if one fails, those before it and its index."""
+    try:
+        return np.array(tokens, dtype=dtype), len(tokens)
+    except (ValueError, OverflowError):
+        bad = next(i for i, token in enumerate(tokens) if not _converts(token, dtype))
+        return np.array(tokens[:bad], dtype=dtype), bad
 
 
 def load_csv(path, domain: str = "source", n_classes: int | None = None) -> LabeledSet:
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    linenos: list[int] = []  # each data row's line number, for the non-finite check
-    width = None
+    """Feature columns then an integer label column; the first non-blank line,
+    which alone may be a header, sets the width. One cast converts all feature
+    fields, another all labels. The first line to fail a row check is named, by
+    the first check it fails; then come the non-finite and missing-class checks."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:  # the first non-blank line, which alone may be a header, sets the width
-                width = len(fields)
-                if width < 2:
-                    raise ValueError(f"{path}: need at least one feature column and a label column")
-                if _looks_like_header(fields):
-                    continue
-            elif len(fields) != width:
-                raise ValueError(f"{path}: ragged row at line {lineno} ({len(fields)} fields, expected {width})")
-            try:
-                values = [float(v) for v in fields[:-1]]
-            except ValueError as exc:
-                raise ValueError(f"{path}: non-numeric field at line {lineno}") from exc
-            raw_label = fields[-1].strip()
-            try:
-                label = int(raw_label)
-            except ValueError as exc:
-                raise ValueError(f"{path}: non-integer label at line {lineno}: {raw_label!r}") from exc
-            if label < 0:
-                raise ValueError(f"{path}: negative label at line {lineno}")
-            if n_classes is not None and label >= n_classes:
-                raise ValueError(f"{path}: label {label} >= n_classes {n_classes} at line {lineno}")
-            rows.append(values)
-            labels.append(label)
-            linenos.append(lineno)
+        raw = fh.read().split("\n")
+    lines = list(filter(str.strip, raw))  # the non-blank lines; the casts skip whitespace
+    if lines and "," not in lines[0]:
+        raise ValueError(f"{path}: need at least one feature column and a label column")
+    # Header iff no field is numeric: a row with one corrupt field is a data error.
+    header = bool(lines) and not any(_converts(token, np.float64) for token in lines[0].split(","))
+    rows = lines[header:]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    labeled = LabeledSet(np.array(rows), np.array(labels), domain)
+    width = lines[0].count(",") + 1
+
+    def at(row: int) -> str:  # looked up only for a message
+        return f"line {[i for i, line in enumerate(raw, start=1) if line.strip()][header + row]}"
+
+    counts = np.fromiter(map(str.count, rows, itertools.repeat(",")), np.int64, len(rows))
+    n = _first(counts != width - 1)  # rows before the first ragged one
+    tokens = ",".join(rows[:n]).split(",")
+    labels = tokens[width - 1::width]
+    del tokens[width - 1::width]
+    x, n_x = _cast(tokens, np.float64)
+    y, n_y = _cast(labels, np.int64)
+    row = min(n, n_x // (width - 1), n_y, _first(y < 0), _first(y >= n_classes) if n_classes is not None else n_y)
+    if row < len(rows):
+        raise ValueError(f"{path}: " + (
+            f"ragged row at {at(row)} ({counts[row] + 1} fields, expected {width})" if row == n else
+            f"non-numeric field at {at(row)}" if row == n_x // (width - 1) else
+            f"non-integer label at {at(row)}: {labels[row].strip()!r}" if row == n_y else
+            f"negative label at {at(row)}" if y[row] < 0 else
+            f"label {y[row]} >= n_classes {n_classes} at {at(row)}"))
+    labeled = LabeledSet(x.reshape(n, width - 1), y, domain)
     finite = np.isfinite(labeled.x).all(axis=1)
     if not finite.all():
-        raise ValueError(f"{path}: non-finite feature at line {linenos[finite.argmin()]}")
+        raise ValueError(f"{path}: non-finite feature at {at(finite.argmin())}")
     if domain == "source" and n_classes is not None:
-        present = set(labeled.y.tolist())
-        missing = [c for c in range(n_classes) if c not in present]
+        missing = np.flatnonzero(np.bincount(labeled.y, minlength=n_classes) == 0).tolist()
         if missing:
             raise ValueError(f"{path}: source set is missing classes {missing}")
     return labeled

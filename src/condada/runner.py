@@ -208,7 +208,9 @@ def train(cfg: ExperimentConfig, seed: int, src: LabeledSet, tgt: LabeledSet
                 ))
         if link is not None:
             link.join()
-
+    bad = np.count_nonzero(~np.isfinite(optimizer.data))  # the loss and gradient checks miss the last update
+    if bad:
+        raise NumericAbort(cfg.total_steps - 1, "parameter", f"{bad} of {optimizer.data.size} entries")
     return bundle, record, proj
 
 

@@ -31,6 +31,14 @@ def test_malformed_line_raises():
         parse_config_lines(["strategy multilinear"])
 
 
+def test_a_repeated_key_is_named_with_its_file_and_line(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("train.total_steps = 100\n# the second one used to win\ntrain.total_steps = 200\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: line 3 repeats the key train.total_steps"
+
+
 def test_unknown_key_is_named():
     with pytest.raises(ConfigError, match="unknown config key 'stratgy'"):
         config_from_pairs({"stratgy": "multilinear"})

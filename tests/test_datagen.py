@@ -1,7 +1,12 @@
 """Generators, CSV ingestion, batching, and the target-label firewall."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import condada.datagen as D
 from condada.config import ExperimentConfig
@@ -183,6 +188,134 @@ def test_a_source_csv_missing_a_class_is_named(tmp_path):
     with pytest.raises(ValueError) as info:
         D.load_csv(path, domain="source", n_classes=3)
     assert str(info.value) == f"{path}: source set is missing classes [1]"
+
+
+def _looks_like_header(fields: list[str]) -> bool:
+    for token in fields:
+        try:
+            float(token)
+            return False
+        except ValueError:
+            continue
+    return True
+
+
+def reference_load_csv(path, domain: str = "source", n_classes: int | None = None) -> D.LabeledSet:
+    """The reader as a loop over lines, one ``float()`` per field: the values
+    and messages that ``datagen.load_csv`` must reproduce."""
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    linenos: list[int] = []
+    width = None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if width is None:
+                width = len(fields)
+                if width < 2:
+                    raise ValueError(f"{path}: need at least one feature column and a label column")
+                if _looks_like_header(fields):
+                    continue
+            elif len(fields) != width:
+                raise ValueError(f"{path}: ragged row at line {lineno} ({len(fields)} fields, expected {width})")
+            try:
+                values = [float(v) for v in fields[:-1]]
+            except ValueError as exc:
+                raise ValueError(f"{path}: non-numeric field at line {lineno}") from exc
+            raw_label = fields[-1].strip()
+            try:
+                label = int(raw_label)
+            except ValueError as exc:
+                raise ValueError(f"{path}: non-integer label at line {lineno}: {raw_label!r}") from exc
+            if label < 0:
+                raise ValueError(f"{path}: negative label at line {lineno}")
+            if n_classes is not None and label >= n_classes:
+                raise ValueError(f"{path}: label {label} >= n_classes {n_classes} at line {lineno}")
+            rows.append(values)
+            labels.append(label)
+            linenos.append(lineno)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    labeled = D.LabeledSet(np.array(rows), np.array(labels), domain)
+    finite = np.isfinite(labeled.x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: non-finite feature at line {linenos[finite.argmin()]}")
+    if domain == "source" and n_classes is not None:
+        present = set(labeled.y.tolist())
+        missing = [c for c in range(n_classes) if c not in present]
+        if missing:
+            raise ValueError(f"{path}: source set is missing classes {missing}")
+    return labeled
+
+
+# \u0663 is ARABIC-INDIC DIGIT THREE; the spaces, which the casts skip, a message strips.
+fuzz_token = st.tuples(st.sampled_from(["nan", "inf", "", "1e400", "\u0663", "0x10", "-1", "5", "0.25", "1"]),
+                       st.sampled_from(["", " "])).map(lambda t: t[1] + t[0] + t[1])
+
+
+def saved_lines() -> list[str]:
+    """The lines that ``save_csv`` writes for a 9-row source set."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "saved.csv")
+        D.save_csv(D.generate(D.ShiftSpec(n_source=9, n_target=9, seed=4))[0], path)
+        with open(path) as fh:
+            return fh.read().splitlines()
+
+
+SAVED_LINES = saved_lines()
+
+
+@st.composite
+def mutated_csv(draw) -> str:
+    """The saved lines, then drawn line and token mutations, then drawn line
+    ends, leading blank lines and BOM."""
+    lines = list(SAVED_LINES)
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.sampled_from(range(len(lines))))
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "truncate", "add", "drop", *["token"] * 4]))
+        fields = lines[i].split(",")
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.sampled_from(range(len(lines))))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "truncate":  # the file ends within line i
+            lines = lines[:i] + [lines[i][:draw(st.integers(0, len(lines[i])))]]
+        elif kind == "token":
+            fields[draw(st.sampled_from([-1, *range(len(fields))]))] = draw(fuzz_token)
+            lines[i] = ",".join(fields)
+        elif kind == "add":
+            fields.insert(draw(st.sampled_from(range(len(fields) + 1))), draw(fuzz_token))
+            lines[i] = ",".join(fields)
+        else:
+            del fields[draw(st.sampled_from(range(len(fields))))]
+            lines[i] = ",".join(fields)
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    blank = "".join(draw(st.lists(st.sampled_from(["\n", " \t\n"]), max_size=2)))
+    return blank + draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def outcome(load, path, domain, n_classes):
+    try:
+        labeled = load(path, domain=domain, n_classes=n_classes)
+    except ValueError as exc:
+        return str(exc)
+    return labeled.x.dtype, labeled.x.tobytes(), labeled.x.shape, labeled.y.dtype, labeled.y.tobytes()
+
+
+@given(text=mutated_csv(), domain=st.sampled_from(["source", "target"]), n_classes=st.sampled_from([None, 3]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_mutated_csv_reads_as_the_line_loop_reads_it(tmp_path_factory, text, domain, n_classes):
+    path = tmp_path_factory.getbasetemp() / "mutated.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(D.load_csv, path, domain, n_classes) == outcome(reference_load_csv, path, domain, n_classes)
 
 
 def test_batch_iter_keeps_final_short_batch():

@@ -14,6 +14,7 @@ import pytest
 
 import condada.analysis as A
 import condada.objectives as O
+import condada.optim as opt
 from condada.cli import main
 from condada.errors import NumericAbort
 from condada.runner import run_experiment
@@ -157,3 +158,31 @@ def test_a_diverging_run_aborts_at_the_same_step_with_the_same_message(tmp_path,
     assert len(forks) == 2  # a worker per run on two CPUs, none on one
     assert aborts[0] == aborts[1]
     assert errors[0] == errors[1] == f"numeric abort: {aborts[0][1]}\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the last evaluation reads the inf
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_a_non_finite_parameter_after_the_last_update_aborts_before_any_write(tmp_path, monkeypatch, capsys,
+                                                                             forks, cpus):
+    """The loss and gradient checks see an update only at the next step, so an
+    overflow in the last update is caught by the check after the loop."""
+    steps, parent, step = int(SMALL["train.total_steps"]), os.getpid(), opt.SgdMomentum.step
+    calls = []
+
+    def step_that_overflows_last(self, eta):
+        step(self, eta)
+        if os.getpid() == parent:  # the trainer's own optimizer, not the worker's replica
+            calls.append(eta)
+            if len(calls) % steps == 0:
+                self.data[0] = np.inf
+
+    monkeypatch.setattr(opt.SgdMomentum, "step", step_that_overflows_last)
+    use_cpus(monkeypatch, cpus)
+    with pytest.raises(NumericAbort) as exc:
+        run_experiment(config_from_pairs(SMALL), 0, tmp_path / "api")
+    assert exc.value.step == steps - 1
+    assert str(exc.value).startswith(f"non-finite parameter at step {steps - 1}: 1 of ")
+    assert main(["run", *flags(SMALL), "--seed", "0", "--out", str(tmp_path / "cli")]) == 3
+    assert capsys.readouterr().err == f"numeric abort: {exc.value}\n"
+    assert not (tmp_path / "api" / "model.txt").exists() and not (tmp_path / "cli" / "model.txt").exists()
+    assert len(forks) == (2 if cpus == 2 else 0)  # a worker per run, and no probe
